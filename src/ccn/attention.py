@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .tensor import Tensor, apply_attention_mask, concat, matmul, scale, softmax_rows, transpose
+from .tensor import (
+    Tensor,
+    apply_attention_mask,
+    concat,
+    matmul,
+    reshape,
+    scale,
+    softmax_rows,
+    transpose,
+)
 
 LEFT = "left"
 RIGHT = "right"
@@ -170,15 +179,39 @@ def multi_head(
     params: MultiHeadParams,
     mask: AttentionMask | None = None,
 ) -> Tensor:
-    """Concatenate per-head attention outputs along features and project by w_o."""
-    d_out = sum(h.w_v.data.shape[-1] for h in params.heads)
-    if d_out != params.w_o.data.shape[-2]:
+    """All heads as one attention over a head axis, merged and projected by w_o.
+
+    The per-head projections are concatenated into one weight per gate, so
+    each gate is one GEMM; the result equals concatenating the per-head
+    ``scaled_dot_attention`` outputs along features (Vaswani et al. 2017,
+    section 3.2.2).
+    """
+    heads = params.heads
+    shapes = {tuple(w.data.shape for w in (h.w_q, h.w_k, h.w_v)) for h in heads}
+    if len(shapes) != 1:
+        raise ShapeError(f"heads disagree on (w_q, w_k, w_v) shapes: {sorted(shapes)}")
+    n_heads, d_k, d_v = len(heads), heads[0].w_k.data.shape[-1], heads[0].w_v.data.shape[-1]
+    if n_heads * d_v != params.w_o.data.shape[-2]:
         raise ShapeError(
-            f"head widths sum to {d_out} but output projection expects {params.w_o.data.shape[-2]}"
+            f"head widths sum to {n_heads * d_v} but output projection expects {params.w_o.data.shape[-2]}"
         )
-    outs = [scaled_dot_attention(q, k, v, h, mask=mask) for h in params.heads]
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=-1)
-    return matmul(merged, params.w_o)
+
+    def split(x: Tensor, gate: str) -> Tensor:
+        """(..., n, d) -> (..., h, n, width): one projection, heads on their own axis."""
+        w = concat([getattr(h, gate) for h in heads], axis=-1)
+        y = matmul(x, w)
+        y = reshape(y, y.data.shape[:-1] + (n_heads, w.data.shape[-1] // n_heads))
+        return transpose(y, -3, -2)
+
+    scores = matmul(split(q, "w_q"), transpose(split(k, "w_k")))
+    scores = scale(scores, 1.0 / np.sqrt(d_k))
+    if mask is not None:
+        disallowed = mask.disallowed
+        if disallowed.ndim > 2:  # (B, n, m) gains a head axis: (B, 1, n, m)
+            disallowed = disallowed[..., None, :, :]
+        scores = apply_attention_mask(scores, disallowed)
+    out = transpose(matmul(softmax_rows(scores), split(v, "w_v")), -3, -2)
+    return matmul(reshape(out, out.data.shape[:-2] + (n_heads * d_v,)), params.w_o)
 
 
 def coattention(

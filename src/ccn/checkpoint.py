@@ -9,6 +9,7 @@ Saving and loading a float32 model is bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -54,36 +55,77 @@ def save_checkpoint(path, config: ModelConfig, step: int, params: dict[str, np.n
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, int, dict[str, np.ndarray]]:
+    """Read a checkpoint; a malformed header, record or payload raises DataError
+    naming the path and the byte offset."""
     path = Path(path)
     blob = path.read_bytes()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
-    if blob[4] != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint format version {blob[4]}")
-    end = blob.index(b"\n\n", 5)
-    fields: dict[str, str] = {}
-    for line in blob[5:end].decode("utf-8").splitlines():
-        key, _, value = line.partition("=")
-        fields[key] = value
-    step = int(fields.pop("step"))
-    kwargs = {key: conv(fields[key]) for key, conv in _CONFIG_FIELDS}
-    config = ModelConfig(**kwargs)
+    if len(blob) < 5 or blob[4] != FORMAT_VERSION:
+        raise DataError(f"{path}: byte 4: unsupported checkpoint format version {blob[4:5]!r}")
+    end = blob.find(b"\n\n", 5)
+    if end < 0:
+        raise DataError(f"{path}: byte 5: config block has no terminating blank line")
+    fields: dict[str, tuple[str, int]] = {}
+    pos = 5
+    for raw in blob[5:end].split(b"\n"):
+        key, _, value = raw.partition(b"=")
+        try:
+            fields[key.decode("utf-8")] = (value.decode("utf-8"), pos)
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: byte {pos}: config line is not UTF-8") from None
+        pos += len(raw) + 1
+
+    def field(key: str, conv):
+        if key not in fields:
+            raise DataError(f"{path}: bytes 5-{end}: config block lacks key {key!r}")
+        value, at = fields[key]
+        try:
+            return conv(value)
+        except ValueError:
+            raise DataError(f"{path}: byte {at}: malformed config value {key}={value!r}") from None
+
+    step = field("step", int)
+    kwargs = {key: field(key, conv) for key, conv in _CONFIG_FIELDS}
+    try:
+        config = ModelConfig(**kwargs)
+    except ValueError as exc:
+        raise DataError(f"{path}: bytes 5-{end}: invalid model config: {exc}") from None
+
+    def unpack(fmt: str, at: int, what: str) -> tuple:
+        try:
+            return struct.unpack_from(fmt, blob, at)
+        except struct.error:
+            raise DataError(
+                f"{path}: byte {at}: {len(blob) - at} trailing bytes are not a whole {what}"
+            ) from None
 
     params: dict[str, np.ndarray] = {}
     pos = end + 2
     while pos < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, pos)
+        record = pos
+        (name_len,) = unpack("<I", pos, "record header")
         pos += 4
-        name = blob[pos : pos + name_len].decode("utf-8")
+        raw_name = blob[pos : pos + name_len]
+        if len(raw_name) != name_len:
+            raise DataError(f"{path}: byte {pos}: truncated parameter name in record at byte {record}")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: byte {pos}: parameter name is not UTF-8") from None
         pos += name_len
-        (rank,) = struct.unpack_from("<I", blob, pos)
+        (rank,) = unpack("<I", pos, f"record header of {name}")
         pos += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, pos)
+        dims = unpack(f"<{rank}I", pos, f"shape of {name}")
         pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(dims)
+        count = math.prod(dims)
+        if pos + 4 * count > len(blob):
+            raise DataError(
+                f"{path}: byte {pos}: payload of {name} is truncated "
+                f"({len(blob) - pos} of {4 * count} bytes present)"
+            )
+        params[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(dims).copy()
         pos += 4 * count
-        params[name] = arr.copy()
     return config, step, params
 
 

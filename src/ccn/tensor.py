@@ -5,9 +5,9 @@ operation that produced it as a backward closure plus parent links. Calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates gradients into every reachable leaf with ``requires_grad``.
 
-Shapes are 2-d (rows x features) or 3-d with a leading batch dimension; the
-fused kernels flatten batch and row dimensions together. Verification runs
-use float64, training float32.
+Shapes are 2-d (rows x features) or carry leading batch axes (the batch,
+and the heads inside attention); the fused kernels flatten all leading axes
+into rows. Verification runs use float64, training float32.
 """
 
 from __future__ import annotations
@@ -184,12 +184,28 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; operands may carry a leading batch dimension."""
+    """Matrix product; operands may carry a leading batch dimension.
+
+    A 2-d ``b`` (a weight) is applied to all rows of ``a`` as one GEMM, and
+    its gradient is one GEMM over those rows; a batched ``b`` broadcasts.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs matrices, got {a.data.shape} x {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
+    if b.data.ndim == 2:
+        d, k = b.data.shape
+        rows = a.data.reshape(-1, d)
+        data = (rows @ b.data).reshape(a.data.shape[:-1] + (k,))
+
+        def backward(g):
+            g_rows = g.reshape(-1, k)
+            ga = (g_rows @ b.data.T).reshape(a.data.shape)
+            return ((a, ga), (b, rows.T @ g_rows))
+
+        return _make(data, (a, b), backward)
+
     data = np.matmul(a.data, b.data)
 
     def backward(g):
@@ -200,12 +216,21 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    data = np.swapaxes(a.data, -1, -2)
+def transpose(a: Tensor, axis1: int = -1, axis2: int = -2) -> Tensor:
+    """Swap two axes, by default the last two."""
+    data = np.swapaxes(a.data, axis1, axis2)
 
     def backward(g):
-        return ((a, np.swapaxes(g, -1, -2)),)
+        return ((a, np.swapaxes(g, axis1, axis2)),)
+
+    return _make(data, (a,), backward)
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    data = a.data.reshape(shape)
+
+    def backward(g):
+        return ((a, g.reshape(a.data.shape)),)
 
     return _make(data, (a,), backward)
 
@@ -346,8 +371,11 @@ def cross_entropy(
     if live.min() < 0 or live.max() >= vocab:
         raise VocabError(f"target id out of range [0, {vocab})")
 
-    probs = kernels.softmax_rows_fwd(flat)
-    logp = np.log(probs[keep])
+    # log-softmax as x - max - log(sum(exp(x - max))): finite where a float32
+    # probability underflows to 0
+    shifted = flat[keep]
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     nll = -logp[np.arange(n_keep), live]
     if smoothing > 0.0:
         # smoothed target q: eps/V everywhere plus 1-eps on the gold label
@@ -359,7 +387,7 @@ def cross_entropy(
     def backward(g):
         # d loss / d logits = (softmax - q) / n_keep on live rows, 0 on pads
         dl = np.zeros_like(flat)
-        dl[keep] = probs[keep] - smoothing / vocab
+        dl[keep] = np.exp(logp) - smoothing / vocab
         dl[np.arange(n)[keep], live] -= 1.0 - smoothing
         dl *= float(g) / n_keep
         return ((logits, dl.reshape(logits.data.shape)),)

@@ -16,6 +16,7 @@ from ccn.attention import (
     crossed_routing,
     multi_head,
     nonlocal_op,
+    padding_mask,
     scaled_dot_attention,
     self_routing,
 )
@@ -228,6 +229,99 @@ def test_multi_head_head_width_mismatch():
     params = MultiHeadParams(heads=heads, w_o=T.Tensor(rng.normal(size=(6, 8))))
     x = T.Tensor(rng.normal(size=(3, 8)))
     with pytest.raises(ShapeError):
+        multi_head(x, x, x, params)
+
+
+def _trainable_mha(rng, d, n_heads):
+    d_k = d // n_heads
+    heads = [
+        AttentionHeadParams(
+            *(T.parameter(f"h{j}.w{g}", rng.normal(size=(d, d_k))) for g in "qkv")
+        )
+        for j in range(n_heads)
+    ]
+    return MultiHeadParams(heads=heads, w_o=T.parameter("wo", rng.normal(size=(d, d))))
+
+
+def _per_head_oracle(q, k, v, params, mask):
+    """Concatenated single-head attentions, projected by w_o."""
+    outs = [scaled_dot_attention(q, k, v, h, mask=mask) for h in params.heads]
+    return T.matmul(T.concat(outs, axis=-1), params.w_o)
+
+
+def _value_and_grads(fn, leaves, upstream):
+    for t in leaves:
+        t.zero_grad()
+    out = fn()
+    T.mean_all(T.mul(out, T.Tensor(upstream * upstream.size))).backward()
+    return out.data, [t.grad.copy() for t in leaves]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("mask_kind", ["none", "causal", "padding"])
+def test_multi_head_matches_per_head_oracle_values_and_gradients(batched, mask_kind):
+    rng = np.random.default_rng(20)
+    d, n_heads, n_q, n_k, b = 12, 3, 4, 5, 2
+    params = _trainable_mha(rng, d, n_heads)
+    lead = (b,) if batched else ()
+    if mask_kind == "causal":
+        n_k = n_q  # self-attention
+    q = T.parameter("q", rng.normal(size=lead + (n_q, d)))
+    kv = q if mask_kind == "causal" else T.parameter("kv", rng.normal(size=lead + (n_k, d)))
+    mask = None
+    if mask_kind == "causal":
+        mask = causal_mask(n_q)
+    elif mask_kind == "padding":
+        key_is_pad = np.zeros(lead + (n_k,), dtype=bool)
+        key_is_pad[..., -2:] = True
+        if batched:
+            key_is_pad[0, -2:] = False  # rows differ: a 3-d mask
+        mask = padding_mask(n_q, key_is_pad)
+        assert mask.disallowed.ndim == (3 if batched else 2)
+    leaves = [t for h in params.heads for t in (h.w_q, h.w_k, h.w_v)] + [params.w_o, q]
+    if kv is not q:
+        leaves.append(kv)
+    upstream = rng.normal(size=lead + (n_q, d))
+    got, got_grads = _value_and_grads(lambda: multi_head(q, kv, kv, params, mask), leaves, upstream)
+    want, want_grads = _value_and_grads(
+        lambda: _per_head_oracle(q, kv, kv, params, mask), leaves, upstream
+    )
+    assert got.shape == want.shape == lead + (n_q, d)
+    assert np.abs(got - want).max() < 1e-10
+    for leaf, g_got, g_want in zip(leaves, got_grads, want_grads):
+        assert np.abs(g_got - g_want).max() < 1e-10, leaf.name
+
+
+def _tape_ops(out: T.Tensor) -> int:
+    """Op nodes (those with parents, not leaves) reachable from ``out``."""
+    seen, stack, ops = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops += bool(node._parents)
+        stack.extend(node._parents)
+    return ops
+
+
+def test_multi_head_tape_ops_do_not_grow_with_heads():
+    rng = np.random.default_rng(21)
+    d = 16
+    counts = []
+    for n_heads in (1, 2, 4, 8):
+        params = _trainable_mha(rng, d, n_heads)
+        x = T.parameter("x", rng.normal(size=(2, 5, d)))
+        counts.append(_tape_ops(multi_head(x, x, x, params, causal_mask(5))))
+    assert len(set(counts)) == 1, counts
+
+
+def test_multi_head_unequal_head_widths_raise():
+    rng = np.random.default_rng(22)
+    heads = [_head(rng, 8, 4, 4), _head(rng, 8, 2, 4)]
+    params = MultiHeadParams(heads=heads, w_o=T.Tensor(rng.normal(size=(8, 8))))
+    x = T.Tensor(rng.normal(size=(3, 8)))
+    with pytest.raises(ShapeError, match="w_q"):
         multi_head(x, x, x, params)
 
 

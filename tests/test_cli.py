@@ -178,6 +178,26 @@ def test_translate_runs_on_saved_checkpoint(capsys, tmp_path):
     assert len(out2.splitlines()) == 3
 
 
+def test_translate_truncated_checkpoint_exits_two(capsys, tmp_path):
+    data = tmp_path / "d"
+    run_cli(capsys, "make-synth", "--seed", "3", "--out", str(data), "--vocab-size", "10",
+            "--n-train", "20", "--n-dev", "3", "--n-test", "3")
+    run_cli(capsys, "learn-bpe", "--src", str(data / "train.src"), "--tgt", str(data / "train.tgt"),
+            "--vocab-size", "18", "--out", str(tmp_path))
+    bpe = load_bpe(tmp_path / "bpe.vocab")
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, build_model(replace(preset("tiny"), vocab_size=bpe.vocab_size), Rng(0)))
+    ckpt.write_bytes(ckpt.read_bytes()[:-7])
+    code, out, err = run_cli(
+        capsys, "translate", "--ckpt", str(ckpt), "--bpe", str(tmp_path / "bpe.vocab"),
+        "--src", str(data / "dev.src"), "--max-len", "8",
+    )
+    assert code == 2
+    assert out == ""
+    assert "m.ckpt: byte " in err and "truncated" in err
+    assert "Traceback" not in err
+
+
 def test_gradcheck_cli_sampled(capsys):
     code, out, _ = run_cli(capsys, "gradcheck", "--preset", "tiny", "--seed", "7", "--entries", "2")
     assert code == 0

@@ -260,6 +260,44 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def _saved_blob(tmp_path) -> tuple:
+    path = tmp_path / "m.ckpt"
+    model = build_model(tiny_cfg(n_blocks=1), Rng(0))
+    save_model(path, model, step=3)
+    return path, path.read_bytes(), model
+
+
+def test_checkpoint_truncated_payload_names_path_and_offset(tmp_path):
+    path, blob, model = _saved_blob(tmp_path)
+    path.write_bytes(blob[:-5])
+    # the last record's float32 payload ends the file
+    payload_at = len(blob) - 4 * list(model.params.values())[-1].data.size
+    with pytest.raises(DataError, match=rf"{path.name}: byte {payload_at}: payload of .* truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path, blob, _ = _saved_blob(tmp_path)
+    path.write_bytes(blob + b"\x01\x02")
+    with pytest.raises(DataError, match=rf"{path.name}: byte {len(blob)}: 2 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_config_key_rejected(tmp_path):
+    path, blob, _ = _saved_blob(tmp_path)
+    path.write_bytes(blob.replace(b"n_heads=2\n", b""))
+    with pytest.raises(DataError, match=rf"{path.name}: bytes 5-\d+: config block lacks key 'n_heads'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_malformed_config_value_rejected(tmp_path):
+    path, blob, _ = _saved_blob(tmp_path)
+    at = blob.index(b"d_ff=")
+    path.write_bytes(blob.replace(b"d_ff=32\n", b"d_ff=3x\n"))
+    with pytest.raises(DataError, match=rf"{path.name}: byte {at}: malformed config value d_ff='3x'"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # parameter counting
 # ---------------------------------------------------------------------------

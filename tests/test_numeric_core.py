@@ -46,6 +46,51 @@ def test_matmul_shape_error_names_both_shapes():
         T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((3, 5, 4), (4, 6)), ((5, 4), (4, 6)), ((3, 5, 4), (3, 4, 6))],
+    ids=["3d_x_2d", "2d_x_2d", "3d_x_3d"],
+)
+def test_matmul_value_and_gradients_match_batched_reference(a_shape, b_shape):
+    rng = np.random.default_rng(30)
+    a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    g = rng.normal(size=a_shape[:-1] + b_shape[-1:])
+    ta, tb = T.parameter("a", a), T.parameter("b", b)
+    out = T.matmul(ta, tb)
+    T.mean_all(T.mul(out, T.Tensor(g * g.size))).backward()
+    # per-batch-entry products, summed over the batch for a shared 2-d weight
+    assert np.abs(out.data - np.einsum("...ij,...jk->...ik", a, b)).max() < 1e-12
+    assert np.abs(ta.grad - np.einsum("...ik,...jk->...ij", g, b)).max() < 1e-12
+    want_gb = np.einsum("...ij,...ik->...jk", a, g)
+    if len(b_shape) < len(a_shape):
+        want_gb = want_gb.sum(axis=0)
+    assert tb.grad.shape == b.shape
+    assert np.abs(tb.grad - want_gb).max() < 1e-12
+
+
+def test_matmul_transposed_view_weight_gradient():
+    # the vocabulary projection multiplies by a transposed view of the embedding table
+    rng = np.random.default_rng(31)
+    table = T.parameter("table", rng.normal(size=(7, 4)))
+    h = T.parameter("h", rng.normal(size=(2, 3, 4)))
+    g = rng.normal(size=(2, 3, 7))
+    out = T.matmul(h, T.transpose(table))
+    T.mean_all(T.mul(out, T.Tensor(g * g.size))).backward()
+    assert np.abs(out.data - np.einsum("bij,vj->biv", h.data, table.data)).max() < 1e-12
+    assert np.abs(h.grad - np.einsum("biv,vj->bij", g, table.data)).max() < 1e-12
+    assert np.abs(table.grad - np.einsum("biv,bij->vj", g, h.data)).max() < 1e-12
+
+
+def test_reshape_and_axis_transpose_route_gradients_back():
+    x = T.parameter("x", np.arange(24.0).reshape(2, 3, 4))
+    y = T.transpose(T.reshape(x, (2, 3, 2, 2)), -3, -2)
+    assert y.data.shape == (2, 2, 3, 2)
+    assert np.array_equal(y.data, np.arange(24.0).reshape(2, 3, 2, 2).swapaxes(1, 2))
+    weights = np.arange(24.0).reshape(2, 2, 3, 2)
+    T.mean_all(T.mul(y, T.Tensor(weights * 24))).backward()
+    assert np.array_equal(x.grad, weights.swapaxes(1, 2).reshape(2, 3, 4))
+
+
 def test_softmax_symmetric_row():
     out = T.softmax_rows(T.Tensor(np.array([[0.0, 0.0]]))).data
     assert np.allclose(out, [[0.5, 0.5]], atol=1e-12)
@@ -159,6 +204,19 @@ def test_cross_entropy_excludes_pads():
     with_pad = T.cross_entropy(T.Tensor(logits), np.array([[1, 0]]), 0.0, pad_id=0)
     alone = T.cross_entropy(T.Tensor(logits[:, :1]), np.array([[1]]), 0.0, pad_id=0)
     assert float(with_pad.data) == float(alone.data)
+
+
+def test_cross_entropy_float32_extremes_stay_finite():
+    # softmax underflows to 0 at -200 and -400 below the max in float32; the
+    # smoothed loss still needs the log of every probability
+    logits = T.parameter("logits", np.array([[[0.0, 200.0, -200.0, 5.0]]], dtype=np.float32))
+    loss = T.cross_entropy(logits, np.array([[1]]), smoothing=0.1, pad_id=0)
+    loss.backward()
+    # log-softmax is [-200, 0, -400, -195] to float32 precision
+    assert np.isfinite(float(loss.data))
+    assert abs(float(loss.data) - 0.025 * 795.0) < 1e-3
+    assert np.all(np.isfinite(logits.grad))
+    assert np.allclose(logits.grad[0, 0], [-0.025, 0.075, -0.025, -0.025], atol=1e-6)
 
 
 def test_cross_entropy_all_pad_batch_is_error():
