@@ -214,6 +214,22 @@ def multi_head(
     return matmul(reshape(out, out.data.shape[:-2] + (n_heads * d_v,)), params.w_o)
 
 
+def routed_attention(
+    channels: dict[str, Tensor],
+    routing: GateRouting,
+    params: MultiHeadParams,
+    mask: AttentionMask | None = None,
+) -> Tensor:
+    """One attention branch whose V/K/Q gates read the channels ``routing`` names."""
+    return multi_head(
+        q=channels[routing.q_source],
+        k=channels[routing.k_source],
+        v=channels[routing.v_source],
+        params=params,
+        mask=mask,
+    )
+
+
 def coattention(
     x_left: Tensor,
     x_right: Tensor,
@@ -230,14 +246,7 @@ def coattention(
     are independent unless the caller ties them explicitly.
     """
     channels = {LEFT: x_left, RIGHT: x_right}
-
-    def branch(routing: GateRouting, params: MultiHeadParams, mask):
-        return multi_head(
-            q=channels[routing.q_source],
-            k=channels[routing.k_source],
-            v=channels[routing.v_source],
-            params=params,
-            mask=mask,
-        )
-
-    return branch(left_routing, left_params, left_mask), branch(right_routing, right_params, right_mask)
+    return (
+        routed_attention(channels, left_routing, left_params, left_mask),
+        routed_attention(channels, right_routing, right_params, right_mask),
+    )

@@ -1,42 +1,33 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels in plain numpy.
 
-Backend selection is controlled by the CCN_NUMBA environment variable at
-import time:
-
-    CCN_NUMBA=0     force the numpy implementations everywhere
-    CCN_NUMBA=1     require numba and use it for every kernel that has one
-    unset / auto    per-kernel choice: numba where measured faster on this
-                    workload (fused backward passes, layer norm), numpy where
-                    SIMD exp/sqrt dominates (softmax forward, adam)
-
-Both implementations of every kernel stay importable (NUMPY_IMPLS /
-NUMBA_IMPLS) so tests and benchmarks/bench_kernels.py can compare them
-directly. fastmath stays off: results must be deterministic and IEEE-ordered.
+The tape ops in ``tensor`` call the softmax and layer-norm kernels on 2-d
+row views; ``training`` calls ``adam_update`` once per parameter. Each
+kernel is a fixed sequence of whole-array numpy operations, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+
+def active_backend() -> str:
+    """The kernel implementation in use; numpy is the only one."""
+    return "numpy"
 
 
-def _softmax_rows_fwd_np(x: np.ndarray) -> np.ndarray:
+def softmax_rows_fwd(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_rows_bwd_np(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def softmax_rows_bwd(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     dot = (y * dy).sum(axis=1, keepdims=True)
     return y * (dy - dot)
 
 
-def _layer_norm_fwd_np(x, gain, bias, eps):
+def layer_norm_fwd(x, gain, bias, eps):
     mean = x.mean(axis=1, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -44,7 +35,7 @@ def _layer_norm_fwd_np(x, gain, bias, eps):
     return xhat * gain + bias, xhat, inv_std[:, 0]
 
 
-def _layer_norm_bwd_np(dy, xhat, inv_std, gain):
+def layer_norm_bwd(dy, xhat, inv_std, gain):
     dgain = (dy * xhat).sum(axis=0)
     dbias = dy.sum(axis=0)
     g = dy * gain
@@ -55,7 +46,8 @@ def _layer_norm_bwd_np(dy, xhat, inv_std, gain):
     return dx, dgain, dbias
 
 
-def _adam_update_np(p, g, m, v, lr, beta1, beta2, eps, t):
+def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
+    """In-place Adam step on one parameter and its moment buffers."""
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
@@ -63,167 +55,3 @@ def _adam_update_np(p, g, m, v, lr, beta1, beta2, eps, t):
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-NUMPY_IMPLS = {
-    "softmax_rows_fwd": _softmax_rows_fwd_np,
-    "softmax_rows_bwd": _softmax_rows_bwd_np,
-    "layer_norm_fwd": _layer_norm_fwd_np,
-    "layer_norm_bwd": _layer_norm_bwd_np,
-    "adam_update": _adam_update_np,
-}
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily per dtype, cached on disk)
-# ---------------------------------------------------------------------------
-
-_MODE = os.environ.get("CCN_NUMBA", "auto").lower()
-
-_have_numba = False
-if _MODE != "0":
-    try:
-        from numba import njit
-
-        _have_numba = True
-    except ImportError:
-        if _MODE == "1":
-            raise ImportError("CCN_NUMBA=1 but numba is not installed")
-
-NUMBA_IMPLS: dict = {}
-
-if _have_numba:
-
-    @njit(cache=True)
-    def _softmax_rows_fwd_nb(x):
-        n, d = x.shape
-        out = np.empty_like(x)
-        for i in range(n):
-            m = x[i, 0]
-            for j in range(1, d):
-                if x[i, j] > m:
-                    m = x[i, j]
-            s = 0.0
-            for j in range(d):
-                out[i, j] = np.exp(x[i, j] - m)
-                s += out[i, j]
-            for j in range(d):
-                out[i, j] /= s
-        return out
-
-    @njit(cache=True)
-    def _softmax_rows_bwd_nb(y, dy):
-        n, d = y.shape
-        dx = np.empty_like(y)
-        for i in range(n):
-            dot = 0.0
-            for j in range(d):
-                dot += y[i, j] * dy[i, j]
-            for j in range(d):
-                dx[i, j] = y[i, j] * (dy[i, j] - dot)
-        return dx
-
-    @njit(cache=True)
-    def _layer_norm_fwd_nb(x, gain, bias, eps):
-        n, d = x.shape
-        y = np.empty_like(x)
-        xhat = np.empty_like(x)
-        inv_std = np.empty(n, dtype=x.dtype)
-        for i in range(n):
-            mean = 0.0
-            for j in range(d):
-                mean += x[i, j]
-            mean /= d
-            var = 0.0
-            for j in range(d):
-                diff = x[i, j] - mean
-                var += diff * diff
-            var /= d
-            s = 1.0 / np.sqrt(var + eps)
-            inv_std[i] = s
-            for j in range(d):
-                xhat[i, j] = (x[i, j] - mean) * s
-                y[i, j] = xhat[i, j] * gain[j] + bias[j]
-        return y, xhat, inv_std
-
-    @njit(cache=True)
-    def _layer_norm_bwd_nb(dy, xhat, inv_std, gain):
-        n, d = xhat.shape
-        dx = np.empty_like(xhat)
-        dgain = np.zeros(d, dtype=xhat.dtype)
-        dbias = np.zeros(d, dtype=xhat.dtype)
-        for i in range(n):
-            gm = 0.0
-            gxm = 0.0
-            for j in range(d):
-                g = dy[i, j] * gain[j]
-                gm += g
-                gxm += g * xhat[i, j]
-                dgain[j] += dy[i, j] * xhat[i, j]
-                dbias[j] += dy[i, j]
-            gm /= d
-            gxm /= d
-            for j in range(d):
-                g = dy[i, j] * gain[j]
-                dx[i, j] = inv_std[i] * (g - gm - xhat[i, j] * gxm)
-        return dx, dgain, dbias
-
-    @njit(cache=True)
-    def _adam_update_nb(p, g, m, v, lr, beta1, beta2, eps, t):
-        bc1 = 1.0 - beta1**t
-        bc2 = 1.0 - beta2**t
-        for i in range(p.size):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            p[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
-
-    NUMBA_IMPLS = {
-        "softmax_rows_fwd": _softmax_rows_fwd_nb,
-        "softmax_rows_bwd": _softmax_rows_bwd_nb,
-        "layer_norm_fwd": _layer_norm_fwd_nb,
-        "layer_norm_bwd": _layer_norm_bwd_nb,
-        "adam_update": _adam_update_nb,
-    }
-
-# kernels where the jit loop beats numpy at toy-to-base shapes (see
-# benchmarks/bench_kernels.py); exp- and sqrt-bound kernels stay on numpy
-_AUTO_NUMBA = {"softmax_rows_bwd", "layer_norm_fwd", "layer_norm_bwd"}
-
-if not _have_numba:
-    _ACTIVE = dict(NUMPY_IMPLS)
-elif _MODE == "1":
-    _ACTIVE = dict(NUMBA_IMPLS)
-else:
-    _ACTIVE = {
-        name: (NUMBA_IMPLS[name] if name in _AUTO_NUMBA else impl)
-        for name, impl in NUMPY_IMPLS.items()
-    }
-
-
-def active_backend() -> str:
-    """'numpy', 'numba', or 'mixed' (the measured per-kernel auto choice)."""
-    kinds = {impl in NUMBA_IMPLS.values() for impl in _ACTIVE.values()}
-    if kinds == {True}:
-        return "numba"
-    if kinds == {False}:
-        return "numpy"
-    return "mixed"
-
-
-def active_impls() -> dict[str, str]:
-    return {
-        name: "numba" if impl in NUMBA_IMPLS.values() else "numpy"
-        for name, impl in _ACTIVE.items()
-    }
-
-
-softmax_rows_fwd = _ACTIVE["softmax_rows_fwd"]
-softmax_rows_bwd = _ACTIVE["softmax_rows_bwd"]
-layer_norm_fwd = _ACTIVE["layer_norm_fwd"]
-layer_norm_bwd = _ACTIVE["layer_norm_bwd"]
-
-
-def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
-    """In-place Adam step on flat views of one parameter."""
-    _ACTIVE["adam_update"](
-        p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), lr, beta1, beta2, eps, t
-    )

@@ -1,17 +1,19 @@
-"""Dual-branch crossed co-attention encoder/decoder and the single-branch
-transformer baseline, plus analytic parameter counting.
+"""One encoder-decoder skeleton for the dual-branch crossed co-attention
+model (THM) and the single-branch transformer baseline, plus analytic
+parameter counting.
 
 Both architectures share one BPE embedding table globally (source, target,
 and transposed output projection), sinusoidal positions, post-norm residual
 sublayers, bias-free attention projections, and biased feed-forward layers.
 
-The dual-branch model per block:
-  encoder: crossed co-attention over the (left, right) pair, then a
-           feed-forward sublayer per branch.
-  decoder: one masked self-attention; two parallel encoder-decoder
-           attentions (left reads the left memory, right the right), each
-           followed by its own feed-forward sublayer; the branch outputs are
-           concatenated, mapped back to model width, and passed through one
+Per block and per branch:
+  encoder: attention, then a feed-forward sublayer. THM's two branches
+           attend through crossed co-attention over the (left, right)
+           pair; the transformer's one branch attends to itself.
+  decoder: one shared masked self-attention, then per branch an
+           encoder-decoder attention into that branch's memory and a
+           feed-forward sublayer. THM concatenates its two branch outputs,
+           maps them back to model width, and passes them through one
            shared feed-forward sublayer.
 Each stream ends with a final layer norm when the stack is non-empty.
 """
@@ -23,13 +25,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import (
+    LEFT,
+    RIGHT,
     AttentionHeadParams,
     MultiHeadParams,
     causal_mask,
-    coattention,
     crossed_routing,
     multi_head,
     padding_mask,
+    routed_attention,
+    self_routing,
 )
 from .errors import DataError, ShapeError
 from .rng import Rng
@@ -172,6 +177,21 @@ def _make_ffn(store: ParamStore, prefix: str, d: int, d_ff: int) -> FeedForwardP
     )
 
 
+def _name(*parts) -> str:
+    """Dotted parameter prefix; the transformer's empty branch name drops out."""
+    return ".".join(str(p) for p in parts if p != "")
+
+
+def _make_attn_ffn(store: ParamStore, prefix: str, attn: str, d: int, n_heads: int, d_ff: int) -> dict:
+    """An attention sublayer named ``attn`` followed by a feed-forward sublayer."""
+    return {
+        attn: _make_mha(store, f"{prefix}.{attn}", d, n_heads),
+        f"{attn}_norm": _make_norm(store, f"{prefix}.{attn}_norm", d),
+        "ffn": _make_ffn(store, f"{prefix}.ffn", d, d_ff),
+        "ffn_norm": _make_norm(store, f"{prefix}.ffn_norm", d),
+    }
+
+
 def _make_mha(store: ParamStore, prefix: str, d: int, n_heads: int) -> MultiHeadParams:
     d_k = d // n_heads
     heads = [
@@ -210,9 +230,13 @@ def _ffn(x: Tensor, p: FeedForwardParams) -> Tensor:
     return _linear(relu(_linear(x, p.w1, p.b1)), p.w2, p.b2)
 
 
+def _norm(x: Tensor, p: NormParams) -> Tensor:
+    return layer_norm(x, p.gain, p.bias, LAYER_NORM_EPS)
+
+
 @dataclass
 class EncoderMemory:
-    """Final encoder states for both branches plus the source pad mask."""
+    """Final encoder states (both fields hold the transformer's one memory) plus the source pad mask."""
 
     mem_left: Tensor
     mem_right: Tensor
@@ -227,23 +251,50 @@ class EncoderMemory:
 
 
 class Seq2SeqModel:
-    """Common state: config, shared embedding, positions, parameter registry."""
+    """One encoder-decoder skeleton over the branches of ``config.arch``.
+
+    THM has the branches ("left", "right"): crossed co-attention in the
+    encoder, and a merge plus a shared feed-forward sublayer after the two
+    decoder branches. The transformer has one branch named "", which keeps
+    its unprefixed parameter names (``enc.0.attn``, ``dec.0.cross``).
+    """
 
     def __init__(self, config: ModelConfig, rng: Rng, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
-        store = ParamStore(rng.fork("init"), self.dtype)
-        self.embed_table = store.embedding_table(
-            "embedding.table", config.vocab_size, config.d_model
-        )
-        self._build(store)
-        self.params = store.params
+        self.branches = (LEFT, RIGHT) if config.arch == ARCH_THM else ("",)
         self.positions = sinusoidal_positions(config.max_len, config.d_model).astype(self.dtype)
-
-    def _build(self, store: ParamStore):
-        raise NotImplementedError
-
-    # -- shared pieces ------------------------------------------------------
+        # parameters are created in checkpoint order
+        store = ParamStore(rng.fork("init"), self.dtype)
+        d, f, h = config.d_model, config.d_ff, config.n_heads
+        self.embed_table = store.embedding_table("embedding.table", config.vocab_size, d)
+        self.enc_blocks = [
+            {b: _make_attn_ffn(store, _name("enc", i, b), "attn", d, h, f) for b in self.branches}
+            for i in range(config.n_blocks)
+        ]
+        self.dec_blocks = []
+        for i in range(config.n_blocks):
+            p = f"dec.{i}"
+            block = {
+                "self_attn": _make_mha(store, f"{p}.self_attn", d, h),
+                "self_norm": _make_norm(store, f"{p}.self_norm", d),
+            }
+            for b in self.branches:
+                block[b] = _make_attn_ffn(store, _name(p, b), "cross", d, h, f)
+            if len(self.branches) == 2:
+                block["merge_w"] = store.xavier(f"{p}.merge.w", 2 * d, d)
+                block["merge_b"] = store.zeros(f"{p}.merge.b", (d,))
+                block["merge_norm"] = _make_norm(store, f"{p}.merge_norm", d)
+                block["ffn"] = _make_ffn(store, f"{p}.ffn", d, f)
+                block["ffn_norm"] = _make_norm(store, f"{p}.ffn_norm", d)
+            self.dec_blocks.append(block)
+        if config.n_blocks:
+            self.enc_final = {
+                b: _make_norm(store, f"enc.final_{b}_norm" if b else "enc.final_norm", d)
+                for b in self.branches
+            }
+            self.dec_final = _make_norm(store, "dec.final_norm", d)
+        self.params = store.params
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -271,24 +322,100 @@ class Seq2SeqModel:
 
     def _sublayer(self, x: Tensor, sub_out: Tensor, norm: NormParams, training, rng) -> Tensor:
         """Post-norm residual: layer_norm(x + dropout(sub_out))."""
-        return layer_norm(
-            add(x, dropout(sub_out, self.config.dropout_p, rng, training)),
-            norm.gain,
-            norm.bias,
-            LAYER_NORM_EPS,
-        )
+        return _norm(add(x, dropout(sub_out, self.config.dropout_p, rng, training)), norm)
+
+    def _ffn_sublayer(self, x: Tensor, sub: dict, training, rng) -> Tensor:
+        return self._sublayer(x, _ffn(x, sub["ffn"]), sub["ffn_norm"], training, rng)
 
     def project_vocab(self, h: Tensor) -> Tensor:
         """Output projection tied to the transposed embedding table."""
         return matmul(h, transpose(self.embed_table))
 
+    def encode(
+        self, *srcs: np.ndarray, training: bool = False, rng: Rng | None = None, routing: tuple | None = None
+    ) -> EncoderMemory:
+        """Run every branch over its own padded source batch.
+
+        THM takes two (possibly differently corrupted) copies of the same
+        batch and routes its gates crossed; the transformer takes one batch
+        and attends to itself. ``routing`` overrides the default gate
+        routing (testing hook for the degradation identity).
+        """
+        if len(srcs) != len(self.branches):
+            raise ShapeError(
+                f"{self.config.arch} takes {len(self.branches)} source batch(es), got {len(srcs)}"
+            )
+        srcs = [np.atleast_2d(np.asarray(s)) for s in srcs]
+        if len({s.shape for s in srcs}) != 1:
+            raise ShapeError(f"branch inputs must align: {[s.shape for s in srcs]}")
+        if routing is None:
+            routing = crossed_routing() if len(self.branches) == 2 else (self_routing(LEFT),)
+        route = dict(zip(self.branches, routing, strict=True))
+        src_pad = srcs[0] == PAD_ID
+        key_mask = padding_mask(srcs[0].shape[-1], src_pad)
+        xs = [self.embed_tokens(s, training=training, rng=rng) for s in srcs]
+        for block in self.enc_blocks:
+            channels = dict(zip((LEFT, RIGHT), xs))
+            ys = [routed_attention(channels, route[b], block[b]["attn"], key_mask) for b in self.branches]
+            xs = [
+                self._sublayer(x, y, block[b]["attn_norm"], training, rng)
+                for b, x, y in zip(self.branches, xs, ys)
+            ]
+            xs = [self._ffn_sublayer(x, block[b], training, rng) for b, x in zip(self.branches, xs)]
+        if self.enc_blocks:
+            xs = [_norm(x, self.enc_final[b]) for b, x in zip(self.branches, xs)]
+        return EncoderMemory(mem_left=xs[0], mem_right=xs[-1], src_pad=src_pad)
+
+    def _decode_branch(self, block, branch: str, s: Tensor, mem: Tensor, cross_mask, training, rng) -> Tensor:
+        """One decoder branch: cross-attention into a memory, then its own FFN."""
+        sub = block[branch]
+        c = self._sublayer(
+            s, multi_head(s, mem, mem, sub["cross"], mask=cross_mask), sub["cross_norm"], training, rng
+        )
+        return self._ffn_sublayer(c, sub, training, rng)
+
+    def decode(self, memory: EncoderMemory, tgt_in, training=False, rng=None) -> Tensor:
+        tgt_in = np.atleast_2d(np.asarray(tgt_in))
+        m = tgt_in.shape[-1]
+        self._check_len(tgt_in, "target")
+        self_mask = causal_mask(m)
+        cross_mask = padding_mask(m, memory.src_pad)
+        t = self.embed_tokens(tgt_in, training=training, rng=rng)
+        for block in self.dec_blocks:
+            s = self._sublayer(
+                t, multi_head(t, t, t, block["self_attn"], mask=self_mask), block["self_norm"], training, rng
+            )
+            outs = [
+                self._decode_branch(block, b, s, mem, cross_mask, training, rng)
+                for b, mem in zip(self.branches, (memory.mem_left, memory.mem_right))
+            ]
+            if len(outs) == 1:
+                t = outs[0]
+                continue
+            merged = _linear(concat(outs, axis=-1), block["merge_w"], block["merge_b"])
+            u = self._sublayer(s, merged, block["merge_norm"], training, rng)
+            t = self._ffn_sublayer(u, block, training, rng)
+        if self.dec_blocks:
+            t = _norm(t, self.dec_final)
+        return self.project_vocab(t)
+
+    def forward_logits(self, batch, training: bool = False, rng: Rng | None = None) -> Tensor:
+        srcs = (batch.src_corrupt_left, batch.src_corrupt_right) if len(self.branches) == 2 else (batch.src,)
+        memory = self.encode(*srcs, training=training, rng=rng)
+        return self.decode(memory, batch.tgt_in, training=training, rng=rng)
+
+    def loss_on_batch(self, batch, training: bool = False, rng: Rng | None = None) -> Tensor:
+        logits = self.forward_logits(batch, training=training, rng=rng)
+        return cross_entropy(
+            logits, batch.tgt_out, smoothing=self.config.label_smoothing, pad_id=PAD_ID
+        )
+
     # -- decode-time helpers ------------------------------------------------
 
     def encode_for_decode(self, src_ids: list[int]) -> EncoderMemory:
-        raise NotImplementedError
-
-    def decode(self, memory: EncoderMemory, tgt_in, training=False, rng=None) -> Tensor:
-        raise NotImplementedError
+        ids = np.asarray(src_ids, dtype=np.int64)[None, :]
+        # every branch reads the clean source at inference
+        return self.encode(*[ids] * len(self.branches))
 
     def next_logprobs(self, memory: EncoderMemory, prefix: list[int]) -> np.ndarray:
         """Log-probabilities of the next token after a [BOS, ...] prefix."""
@@ -297,230 +424,13 @@ class Seq2SeqModel:
         logits -= logits.max()
         return logits - np.log(np.exp(logits).sum())
 
-    def loss_on_batch(self, batch, training: bool = False, rng: Rng | None = None) -> Tensor:
-        logits = self.forward_logits(batch, training=training, rng=rng)
-        return cross_entropy(
-            logits, batch.tgt_out, smoothing=self.config.label_smoothing, pad_id=PAD_ID
-        )
 
-    def forward_logits(self, batch, training: bool = False, rng: Rng | None = None) -> Tensor:
-        raise NotImplementedError
-
-
-class CrossedCoAttentionModel(Seq2SeqModel):
-    """Two symmetric encoder branches intertwined by crossed V/K/Q routing."""
-
-    def _build(self, store: ParamStore):
-        cfg = self.config
-        d, f, h = cfg.d_model, cfg.d_ff, cfg.n_heads
-        self.enc_blocks = []
-        for i in range(cfg.n_blocks):
-            block = {}
-            for side in ("left", "right"):
-                p = f"enc.{i}.{side}"
-                block[side] = {
-                    "attn": _make_mha(store, f"{p}.attn", d, h),
-                    "attn_norm": _make_norm(store, f"{p}.attn_norm", d),
-                    "ffn": _make_ffn(store, f"{p}.ffn", d, f),
-                    "ffn_norm": _make_norm(store, f"{p}.ffn_norm", d),
-                }
-            self.enc_blocks.append(block)
-        self.dec_blocks = []
-        for i in range(cfg.n_blocks):
-            p = f"dec.{i}"
-            block = {
-                "self_attn": _make_mha(store, f"{p}.self_attn", d, h),
-                "self_norm": _make_norm(store, f"{p}.self_norm", d),
-            }
-            for side in ("left", "right"):
-                block[side] = {
-                    "cross": _make_mha(store, f"{p}.{side}.cross", d, h),
-                    "cross_norm": _make_norm(store, f"{p}.{side}.cross_norm", d),
-                    "ffn": _make_ffn(store, f"{p}.{side}.ffn", d, f),
-                    "ffn_norm": _make_norm(store, f"{p}.{side}.ffn_norm", d),
-                }
-            block["merge_w"] = store.xavier(f"{p}.merge.w", 2 * d, d)
-            block["merge_b"] = store.zeros(f"{p}.merge.b", (d,))
-            block["merge_norm"] = _make_norm(store, f"{p}.merge_norm", d)
-            block["ffn"] = _make_ffn(store, f"{p}.ffn", d, f)
-            block["ffn_norm"] = _make_norm(store, f"{p}.ffn_norm", d)
-            self.dec_blocks.append(block)
-        if cfg.n_blocks:
-            self.enc_final = {
-                "left": _make_norm(store, "enc.final_left_norm", d),
-                "right": _make_norm(store, "enc.final_right_norm", d),
-            }
-            self.dec_final = _make_norm(store, "dec.final_norm", d)
-
-    def encode(
-        self,
-        src_left: np.ndarray,
-        src_right: np.ndarray,
-        training: bool = False,
-        rng: Rng | None = None,
-        routing: tuple | None = None,
-    ) -> EncoderMemory:
-        """Run both branches; inputs are two (possibly differently corrupted)
-        copies of the same padded source batch. ``routing`` overrides the
-        crossed default (testing hook for the degradation identity)."""
-        src_left = np.atleast_2d(np.asarray(src_left))
-        src_right = np.atleast_2d(np.asarray(src_right))
-        if src_left.shape != src_right.shape:
-            raise ShapeError(
-                f"branch inputs must align: {src_left.shape} vs {src_right.shape}"
-            )
-        src_pad = src_left == PAD_ID
-        n = src_left.shape[-1]
-        key_mask = padding_mask(n, src_pad)
-        route_left, route_right = routing if routing is not None else crossed_routing()
-        x_l = self.embed_tokens(src_left, training=training, rng=rng)
-        x_r = self.embed_tokens(src_right, training=training, rng=rng)
-        for block in self.enc_blocks:
-            y_l, y_r = coattention(
-                x_l,
-                x_r,
-                route_left,
-                route_right,
-                block["left"]["attn"],
-                block["right"]["attn"],
-                left_mask=key_mask,
-                right_mask=key_mask,
-            )
-            x_l = self._sublayer(x_l, y_l, block["left"]["attn_norm"], training, rng)
-            x_r = self._sublayer(x_r, y_r, block["right"]["attn_norm"], training, rng)
-            x_l = self._sublayer(x_l, _ffn(x_l, block["left"]["ffn"]), block["left"]["ffn_norm"], training, rng)
-            x_r = self._sublayer(x_r, _ffn(x_r, block["right"]["ffn"]), block["right"]["ffn_norm"], training, rng)
-        if self.enc_blocks:
-            x_l = layer_norm(x_l, self.enc_final["left"].gain, self.enc_final["left"].bias, LAYER_NORM_EPS)
-            x_r = layer_norm(x_r, self.enc_final["right"].gain, self.enc_final["right"].bias, LAYER_NORM_EPS)
-        return EncoderMemory(mem_left=x_l, mem_right=x_r, src_pad=src_pad)
-
-    def _decode_branch(self, block, side: str, s: Tensor, mem: Tensor, cross_mask, training, rng) -> Tensor:
-        """One decoder branch: cross-attention into a memory, then its own FFN."""
-        sub = block[side]
-        c = self._sublayer(
-            s, multi_head(s, mem, mem, sub["cross"], mask=cross_mask), sub["cross_norm"], training, rng
-        )
-        return self._sublayer(c, _ffn(c, sub["ffn"]), sub["ffn_norm"], training, rng)
-
-    def decode(self, memory: EncoderMemory, tgt_in, training=False, rng=None) -> Tensor:
-        tgt_in = np.atleast_2d(np.asarray(tgt_in))
-        m = tgt_in.shape[-1]
-        self._check_len(tgt_in, "target")
-        self_mask = causal_mask(m)
-        cross_mask = padding_mask(m, memory.src_pad)
-        t = self.embed_tokens(tgt_in, training=training, rng=rng)
-        for block in self.dec_blocks:
-            s = self._sublayer(
-                t,
-                multi_head(t, t, t, block["self_attn"], mask=self_mask),
-                block["self_norm"],
-                training,
-                rng,
-            )
-            halves = [
-                self._decode_branch(block, side, s, mem, cross_mask, training, rng)
-                for side, mem in (("left", memory.mem_left), ("right", memory.mem_right))
-            ]
-            merged = _linear(concat(halves, axis=-1), block["merge_w"], block["merge_b"])
-            u = self._sublayer(s, merged, block["merge_norm"], training, rng)
-            t = self._sublayer(u, _ffn(u, block["ffn"]), block["ffn_norm"], training, rng)
-        if self.dec_blocks:
-            t = layer_norm(t, self.dec_final.gain, self.dec_final.bias, LAYER_NORM_EPS)
-        return self.project_vocab(t)
-
-    def forward_logits(self, batch, training=False, rng=None) -> Tensor:
-        memory = self.encode(
-            batch.src_corrupt_left, batch.src_corrupt_right, training=training, rng=rng
-        )
-        return self.decode(memory, batch.tgt_in, training=training, rng=rng)
-
-    def encode_for_decode(self, src_ids: list[int]) -> EncoderMemory:
-        ids = np.asarray(src_ids, dtype=np.int64)[None, :]
-        # both branches read the clean source at inference
-        return self.encode(ids, ids)
-
-
-class TransformerModel(Seq2SeqModel):
-    """Single-branch baseline with the same embeddings, masking and positions."""
-
-    def _build(self, store: ParamStore):
-        cfg = self.config
-        d, f, h = cfg.d_model, cfg.d_ff, cfg.n_heads
-        self.enc_blocks = []
-        for i in range(cfg.n_blocks):
-            p = f"enc.{i}"
-            self.enc_blocks.append(
-                {
-                    "attn": _make_mha(store, f"{p}.attn", d, h),
-                    "attn_norm": _make_norm(store, f"{p}.attn_norm", d),
-                    "ffn": _make_ffn(store, f"{p}.ffn", d, f),
-                    "ffn_norm": _make_norm(store, f"{p}.ffn_norm", d),
-                }
-            )
-        self.dec_blocks = []
-        for i in range(cfg.n_blocks):
-            p = f"dec.{i}"
-            self.dec_blocks.append(
-                {
-                    "self_attn": _make_mha(store, f"{p}.self_attn", d, h),
-                    "self_norm": _make_norm(store, f"{p}.self_norm", d),
-                    "cross": _make_mha(store, f"{p}.cross", d, h),
-                    "cross_norm": _make_norm(store, f"{p}.cross_norm", d),
-                    "ffn": _make_ffn(store, f"{p}.ffn", d, f),
-                    "ffn_norm": _make_norm(store, f"{p}.ffn_norm", d),
-                }
-            )
-        if cfg.n_blocks:
-            self.enc_final = _make_norm(store, "enc.final_norm", d)
-            self.dec_final = _make_norm(store, "dec.final_norm", d)
-
-    def encode(self, src: np.ndarray, training: bool = False, rng: Rng | None = None) -> EncoderMemory:
-        src = np.atleast_2d(np.asarray(src))
-        src_pad = src == PAD_ID
-        key_mask = padding_mask(src.shape[-1], src_pad)
-        x = self.embed_tokens(src, training=training, rng=rng)
-        for block in self.enc_blocks:
-            x = self._sublayer(
-                x, multi_head(x, x, x, block["attn"], mask=key_mask), block["attn_norm"], training, rng
-            )
-            x = self._sublayer(x, _ffn(x, block["ffn"]), block["ffn_norm"], training, rng)
-        if self.enc_blocks:
-            x = layer_norm(x, self.enc_final.gain, self.enc_final.bias, LAYER_NORM_EPS)
-        return EncoderMemory(mem_left=x, mem_right=x, src_pad=src_pad)
-
-    def decode(self, memory: EncoderMemory, tgt_in, training=False, rng=None) -> Tensor:
-        tgt_in = np.atleast_2d(np.asarray(tgt_in))
-        m = tgt_in.shape[-1]
-        self._check_len(tgt_in, "target")
-        self_mask = causal_mask(m)
-        cross_mask = padding_mask(m, memory.src_pad)
-        t = self.embed_tokens(tgt_in, training=training, rng=rng)
-        mem = memory.mem_left
-        for block in self.dec_blocks:
-            s = self._sublayer(
-                t, multi_head(t, t, t, block["self_attn"], mask=self_mask), block["self_norm"], training, rng
-            )
-            c = self._sublayer(
-                s, multi_head(s, mem, mem, block["cross"], mask=cross_mask), block["cross_norm"], training, rng
-            )
-            t = self._sublayer(c, _ffn(c, block["ffn"]), block["ffn_norm"], training, rng)
-        if self.dec_blocks:
-            t = layer_norm(t, self.dec_final.gain, self.dec_final.bias, LAYER_NORM_EPS)
-        return self.project_vocab(t)
-
-    def forward_logits(self, batch, training=False, rng=None) -> Tensor:
-        memory = self.encode(batch.src, training=training, rng=rng)
-        return self.decode(memory, batch.tgt_in, training=training, rng=rng)
-
-    def encode_for_decode(self, src_ids: list[int]) -> EncoderMemory:
-        ids = np.asarray(src_ids, dtype=np.int64)[None, :]
-        return self.encode(ids)
+# perfbench/spans.py wraps methods through these names when it is imported
+CrossedCoAttentionModel = TransformerModel = Seq2SeqModel
 
 
 def build_model(config: ModelConfig, rng: Rng, dtype=np.float32) -> Seq2SeqModel:
-    cls = CrossedCoAttentionModel if config.arch == ARCH_THM else TransformerModel
-    return cls(config, rng, dtype=dtype)
+    return Seq2SeqModel(config, rng, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

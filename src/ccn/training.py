@@ -211,8 +211,10 @@ def run_experiment(
 ) -> RunRecord:
     """Train, checkpoint, and score one model; append one loss-log line per epoch.
 
-    With ``resume=True`` the run continues after the last epoch whose
-    checkpoint and state are present in ``out_dir``.
+    With ``resume=True`` the run continues after the last epoch that has a
+    checkpoint, a state file and a loss-log row in ``out_dir``; log rows
+    beyond that epoch are dropped. An epoch writes its log row last, so a
+    crash before that append leaves the epoch to be run again.
     """
     hp = hp or TrainParams()
     out_dir = Path(out_dir)
@@ -221,16 +223,14 @@ def run_experiment(
     base_rng = Rng(seed)
 
     start_epoch = 0
-    if resume:
-        done = sorted(
-            int(p.stem[5:8]) for p in out_dir.glob("epoch*.ckpt") if _state_path(out_dir, int(p.stem[5:8])).exists()
-        )
-        if done:
-            start_epoch = done[-1]
+    if resume and log_path.exists():
+        text = log_path.read_text(encoding="utf-8")
+        records = RunRecord.from_log(text[: text.rfind("\n") + 1])  # a torn last row does not count
+        saved = (e for e in range(1, len(records.rows) + 1) if _ckpt_path(out_dir, e).exists())
+        start_epoch = max((e for e in saved if _state_path(out_dir, e).exists()), default=0)
     if start_epoch:
         model, _ = model_from_checkpoint(_ckpt_path(out_dir, start_epoch))
         state = TrainState.load(_state_path(out_dir, start_epoch))
-        records = RunRecord.from_log(log_path.read_text(encoding="utf-8"))
         records.rows = records.rows[:start_epoch]
         log_path.write_text(records.to_log(), encoding="utf-8")
     else:

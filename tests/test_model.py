@@ -120,6 +120,14 @@ def test_thm_encoder_rejects_misaligned_branch_inputs():
         model.encode(np.array([[5, 6, 2]]), np.array([[5, 6, 7, 2]]))
 
 
+@pytest.mark.parametrize("arch, n_sources", [("thm", 1), ("thm", 3), ("transformer", 2)])
+def test_encoder_rejects_wrong_number_of_sources(arch, n_sources):
+    model = build_model(tiny_cfg(arch), Rng(4))
+    src = np.array([[5, 6, 2]])
+    with pytest.raises(ShapeError, match="source batch"):
+        model.encode(*[src] * n_sources)
+
+
 def test_decoder_branch_halves_equal_with_tied_params_and_memories():
     model = build_model(tiny_cfg(n_blocks=1), Rng(5), dtype=np.float64)
     values = {n: p.data for n, p in model.params.items()}
@@ -351,3 +359,153 @@ def test_parameter_names_unique_and_order_deterministic():
     b = build_model(tiny_cfg(), Rng(3))
     assert list(a.params) == list(b.params)
     assert len(set(a.params)) == len(a.params)
+
+
+# parameter names, order and shapes of tiny_cfg(n_blocks=1): the THM1 checkpoint layout
+THM_PARAMS_1_BLOCK = """
+embedding.table 20x16
+enc.0.left.attn.h0.wq 16x8
+enc.0.left.attn.h0.wk 16x8
+enc.0.left.attn.h0.wv 16x8
+enc.0.left.attn.h1.wq 16x8
+enc.0.left.attn.h1.wk 16x8
+enc.0.left.attn.h1.wv 16x8
+enc.0.left.attn.wo 16x16
+enc.0.left.attn_norm.gain 16
+enc.0.left.attn_norm.bias 16
+enc.0.left.ffn.w1 16x32
+enc.0.left.ffn.b1 32
+enc.0.left.ffn.w2 32x16
+enc.0.left.ffn.b2 16
+enc.0.left.ffn_norm.gain 16
+enc.0.left.ffn_norm.bias 16
+enc.0.right.attn.h0.wq 16x8
+enc.0.right.attn.h0.wk 16x8
+enc.0.right.attn.h0.wv 16x8
+enc.0.right.attn.h1.wq 16x8
+enc.0.right.attn.h1.wk 16x8
+enc.0.right.attn.h1.wv 16x8
+enc.0.right.attn.wo 16x16
+enc.0.right.attn_norm.gain 16
+enc.0.right.attn_norm.bias 16
+enc.0.right.ffn.w1 16x32
+enc.0.right.ffn.b1 32
+enc.0.right.ffn.w2 32x16
+enc.0.right.ffn.b2 16
+enc.0.right.ffn_norm.gain 16
+enc.0.right.ffn_norm.bias 16
+dec.0.self_attn.h0.wq 16x8
+dec.0.self_attn.h0.wk 16x8
+dec.0.self_attn.h0.wv 16x8
+dec.0.self_attn.h1.wq 16x8
+dec.0.self_attn.h1.wk 16x8
+dec.0.self_attn.h1.wv 16x8
+dec.0.self_attn.wo 16x16
+dec.0.self_norm.gain 16
+dec.0.self_norm.bias 16
+dec.0.left.cross.h0.wq 16x8
+dec.0.left.cross.h0.wk 16x8
+dec.0.left.cross.h0.wv 16x8
+dec.0.left.cross.h1.wq 16x8
+dec.0.left.cross.h1.wk 16x8
+dec.0.left.cross.h1.wv 16x8
+dec.0.left.cross.wo 16x16
+dec.0.left.cross_norm.gain 16
+dec.0.left.cross_norm.bias 16
+dec.0.left.ffn.w1 16x32
+dec.0.left.ffn.b1 32
+dec.0.left.ffn.w2 32x16
+dec.0.left.ffn.b2 16
+dec.0.left.ffn_norm.gain 16
+dec.0.left.ffn_norm.bias 16
+dec.0.right.cross.h0.wq 16x8
+dec.0.right.cross.h0.wk 16x8
+dec.0.right.cross.h0.wv 16x8
+dec.0.right.cross.h1.wq 16x8
+dec.0.right.cross.h1.wk 16x8
+dec.0.right.cross.h1.wv 16x8
+dec.0.right.cross.wo 16x16
+dec.0.right.cross_norm.gain 16
+dec.0.right.cross_norm.bias 16
+dec.0.right.ffn.w1 16x32
+dec.0.right.ffn.b1 32
+dec.0.right.ffn.w2 32x16
+dec.0.right.ffn.b2 16
+dec.0.right.ffn_norm.gain 16
+dec.0.right.ffn_norm.bias 16
+dec.0.merge.w 32x16
+dec.0.merge.b 16
+dec.0.merge_norm.gain 16
+dec.0.merge_norm.bias 16
+dec.0.ffn.w1 16x32
+dec.0.ffn.b1 32
+dec.0.ffn.w2 32x16
+dec.0.ffn.b2 16
+dec.0.ffn_norm.gain 16
+dec.0.ffn_norm.bias 16
+enc.final_left_norm.gain 16
+enc.final_left_norm.bias 16
+enc.final_right_norm.gain 16
+enc.final_right_norm.bias 16
+dec.final_norm.gain 16
+dec.final_norm.bias 16
+"""
+
+
+TRANSFORMER_PARAMS_1_BLOCK = """
+embedding.table 20x16
+enc.0.attn.h0.wq 16x8
+enc.0.attn.h0.wk 16x8
+enc.0.attn.h0.wv 16x8
+enc.0.attn.h1.wq 16x8
+enc.0.attn.h1.wk 16x8
+enc.0.attn.h1.wv 16x8
+enc.0.attn.wo 16x16
+enc.0.attn_norm.gain 16
+enc.0.attn_norm.bias 16
+enc.0.ffn.w1 16x32
+enc.0.ffn.b1 32
+enc.0.ffn.w2 32x16
+enc.0.ffn.b2 16
+enc.0.ffn_norm.gain 16
+enc.0.ffn_norm.bias 16
+dec.0.self_attn.h0.wq 16x8
+dec.0.self_attn.h0.wk 16x8
+dec.0.self_attn.h0.wv 16x8
+dec.0.self_attn.h1.wq 16x8
+dec.0.self_attn.h1.wk 16x8
+dec.0.self_attn.h1.wv 16x8
+dec.0.self_attn.wo 16x16
+dec.0.self_norm.gain 16
+dec.0.self_norm.bias 16
+dec.0.cross.h0.wq 16x8
+dec.0.cross.h0.wk 16x8
+dec.0.cross.h0.wv 16x8
+dec.0.cross.h1.wq 16x8
+dec.0.cross.h1.wk 16x8
+dec.0.cross.h1.wv 16x8
+dec.0.cross.wo 16x16
+dec.0.cross_norm.gain 16
+dec.0.cross_norm.bias 16
+dec.0.ffn.w1 16x32
+dec.0.ffn.b1 32
+dec.0.ffn.w2 32x16
+dec.0.ffn.b2 16
+dec.0.ffn_norm.gain 16
+dec.0.ffn_norm.bias 16
+enc.final_norm.gain 16
+enc.final_norm.bias 16
+dec.final_norm.gain 16
+dec.final_norm.bias 16
+"""
+
+
+@pytest.mark.parametrize(
+    "arch, want",
+    [("thm", THM_PARAMS_1_BLOCK), ("transformer", TRANSFORMER_PARAMS_1_BLOCK)],
+    ids=["thm", "transformer"],
+)
+def test_parameter_names_order_and_shapes_are_pinned(arch, want):
+    model = build_model(tiny_cfg(arch, n_blocks=1), Rng(0))
+    got = [f"{n} {'x'.join(map(str, p.data.shape))}" for n, p in model.params.items()]
+    assert got == want.strip().splitlines()

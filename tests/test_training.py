@@ -271,3 +271,35 @@ def test_resume_equivalence_bitwise(tmp_path):
         run_experiment(cfg, data, epochs=stop, out_dir=part_dir, seed=9, hp=hp)
         run_experiment(cfg, data, epochs=4, out_dir=part_dir, seed=9, hp=hp, resume=True)
         assert (part_dir / "loss.log").read_text() == full_log, f"stop={stop}"
+
+
+def _acceptance_11_setup():
+    """The data, config and hyperparameters of acceptance 11."""
+    rng = Rng(111)
+    train = gen_synthetic("copy", 10, 48, (2, 5), rng.fork("tr"))
+    dev = gen_synthetic("copy", 10, 8, (2, 5), rng.fork("de"))
+    test = gen_synthetic("copy", 10, 8, (2, 5), rng.fork("te"))
+    data = DataBundle(train, dev, test, learn_bpe(train.lines(), 16))
+    cfg = replace(SMALL, vocab_size=data.bpe.vocab_size)
+    return data, cfg, TrainParams(warmup=50, batch_tokens=128)
+
+
+@pytest.mark.parametrize("crash", ["before_state", "before_log", "torn_log"])
+def test_resume_after_crash_inside_an_epoch_write(tmp_path, crash):
+    """Epoch 2 wrote its checkpoint but crashed before its state file, before
+    its loss-log row, or halfway through that row; resuming redoes epoch 2."""
+    data, cfg, hp = _acceptance_11_setup()
+    run_experiment(cfg, data, epochs=3, out_dir=tmp_path / "full", seed=13, hp=hp)
+    want = (tmp_path / "full" / "loss.log").read_bytes()
+
+    part = tmp_path / "part"
+    run_experiment(cfg, data, epochs=2, out_dir=part, seed=13, hp=hp)
+    log = (part / "loss.log").read_bytes()
+    last_row = log.rindex(b"\n", 0, len(log) - 1) + 1
+    if crash == "before_state":
+        (part / "epoch002.state.npz").unlink()
+    cut = last_row + (len(log) - last_row) // 2 if crash == "torn_log" else last_row
+    (part / "loss.log").write_bytes(log[:cut])
+
+    run_experiment(cfg, data, epochs=3, out_dir=part, seed=13, hp=hp, resume=True)
+    assert (part / "loss.log").read_bytes() == want
