@@ -172,6 +172,52 @@ def scaled_dot_attention(
     return matmul(softmax_rows(scores), vh)
 
 
+def _head_dims(params: MultiHeadParams) -> tuple[int, int]:
+    """(number of heads, width of one head's values); the heads must agree on shapes."""
+    heads = params.heads
+    shapes = {tuple(w.data.shape for w in (h.w_q, h.w_k, h.w_v)) for h in heads}
+    if len(shapes) != 1:
+        raise ShapeError(f"heads disagree on (w_q, w_k, w_v) shapes: {sorted(shapes)}")
+    n_heads, d_v = len(heads), heads[0].w_v.data.shape[-1]
+    if n_heads * d_v != params.w_o.data.shape[-2]:
+        raise ShapeError(
+            f"head widths sum to {n_heads * d_v} but output projection expects {params.w_o.data.shape[-2]}"
+        )
+    return n_heads, d_v
+
+
+def split_heads(x: Tensor, params: MultiHeadParams, gate: str) -> Tensor:
+    """(..., n, d) -> (..., h, n, width): one projection through the
+    concatenated per-head ``gate`` weights ("w_q", "w_k" or "w_v"), heads on
+    their own axis."""
+    n_heads, _ = _head_dims(params)
+    w = concat([getattr(h, gate) for h in params.heads], axis=-1)
+    y = matmul(x, w)
+    y = reshape(y, y.data.shape[:-1] + (n_heads, w.data.shape[-1] // n_heads))
+    return transpose(y, -3, -2)
+
+
+def attend_heads(
+    qh: Tensor, kh: Tensor, vh: Tensor, params: MultiHeadParams, mask: AttentionMask | None = None
+) -> Tensor:
+    """Scaled dot-product attention of head-split queries over head-split
+    keys and values, heads merged and projected by w_o: (..., n, d_model).
+
+    The keys and values may be projected once and reused, as incremental
+    decoding does with the encoder memory and the earlier target positions.
+    """
+    n_heads, d_v = _head_dims(params)
+    scores = matmul(qh, transpose(kh))
+    scores = scale(scores, 1.0 / np.sqrt(kh.data.shape[-1]))
+    if mask is not None:
+        disallowed = mask.disallowed
+        if disallowed.ndim > 2:  # (B, n, m) gains a head axis: (B, 1, n, m)
+            disallowed = disallowed[..., None, :, :]
+        scores = apply_attention_mask(scores, disallowed)
+    out = transpose(matmul(softmax_rows(scores), vh), -3, -2)
+    return matmul(reshape(out, out.data.shape[:-2] + (n_heads * d_v,)), params.w_o)
+
+
 def multi_head(
     q: Tensor,
     k: Tensor,
@@ -186,32 +232,8 @@ def multi_head(
     ``scaled_dot_attention`` outputs along features (Vaswani et al. 2017,
     section 3.2.2).
     """
-    heads = params.heads
-    shapes = {tuple(w.data.shape for w in (h.w_q, h.w_k, h.w_v)) for h in heads}
-    if len(shapes) != 1:
-        raise ShapeError(f"heads disagree on (w_q, w_k, w_v) shapes: {sorted(shapes)}")
-    n_heads, d_k, d_v = len(heads), heads[0].w_k.data.shape[-1], heads[0].w_v.data.shape[-1]
-    if n_heads * d_v != params.w_o.data.shape[-2]:
-        raise ShapeError(
-            f"head widths sum to {n_heads * d_v} but output projection expects {params.w_o.data.shape[-2]}"
-        )
-
-    def split(x: Tensor, gate: str) -> Tensor:
-        """(..., n, d) -> (..., h, n, width): one projection, heads on their own axis."""
-        w = concat([getattr(h, gate) for h in heads], axis=-1)
-        y = matmul(x, w)
-        y = reshape(y, y.data.shape[:-1] + (n_heads, w.data.shape[-1] // n_heads))
-        return transpose(y, -3, -2)
-
-    scores = matmul(split(q, "w_q"), transpose(split(k, "w_k")))
-    scores = scale(scores, 1.0 / np.sqrt(d_k))
-    if mask is not None:
-        disallowed = mask.disallowed
-        if disallowed.ndim > 2:  # (B, n, m) gains a head axis: (B, 1, n, m)
-            disallowed = disallowed[..., None, :, :]
-        scores = apply_attention_mask(scores, disallowed)
-    out = transpose(matmul(softmax_rows(scores), split(v, "w_v")), -3, -2)
-    return matmul(reshape(out, out.data.shape[:-2] + (n_heads * d_v,)), params.w_o)
+    qh, kh = split_heads(q, params, "w_q"), split_heads(k, params, "w_k")
+    return attend_heads(qh, kh, split_heads(v, params, "w_v"), params, mask)
 
 
 def routed_attention(

@@ -1,4 +1,8 @@
-"""Decoding (greedy and beam) and corpus-level BLEU."""
+"""Decoding (greedy and beam) and corpus-level BLEU.
+
+Both decoders drive the model's incremental decode protocol: ``start_decode``
+(sources), ``step_logprobs`` (one token per row) and ``reorder`` (keep rows).
+"""
 
 from __future__ import annotations
 
@@ -27,21 +31,40 @@ class Hypothesis:
         return self.log_prob / max(len(self.tokens), 1) ** alpha
 
 
+# sentences per padded greedy batch in translate_corpus: bounds the
+# (rows x vocab) logits of one step at real vocabulary sizes
+DECODE_CHUNK = 64
+
+
+def greedy_decode_batch(model, sources: list[list[int]], max_len: int) -> list[list[int]]:
+    """Greedy decoding of every source as one padded batch: each row appends
+    its argmax token until EOS or max_len, and leaves the batch at EOS."""
+    if not sources:
+        return []
+    with no_grad():
+        state = model.start_decode(sources)
+        out: list[list[int]] = [[] for _ in sources]
+        live = np.arange(len(sources))  # the sentence each row decodes
+        tokens = np.full(len(sources), BOS_ID)
+        for _ in range(max_len):
+            tokens = np.argmax(model.step_logprobs(state, tokens), axis=-1)
+            going = tokens != EOS_ID
+            for i, t in zip(live[going], tokens[going]):
+                out[i].append(int(t))
+            if not going.all():
+                if not going.any():
+                    break
+                rows = np.flatnonzero(going)
+                model.reorder(state, rows)
+                live, tokens = live[rows], tokens[rows]
+    return out
+
+
 def greedy_decode(model, src_ids: list[int], max_len: int) -> list[int]:
     """Append the argmax token until EOS or max_len; deterministic."""
     if not len(src_ids):
         raise DataError("cannot decode an empty source")
-    with no_grad():
-        memory = model.encode_for_decode(src_ids)
-        prefix = [BOS_ID]
-        out: list[int] = []
-        for _ in range(max_len):
-            token = int(np.argmax(model.next_logprobs(memory, prefix)))
-            if token == EOS_ID:
-                break
-            out.append(token)
-            prefix.append(token)
-    return out
+    return greedy_decode_batch(model, [src_ids], max_len)[0]
 
 
 def beam_search(
@@ -49,31 +72,35 @@ def beam_search(
 ) -> list[int]:
     """Best finished hypothesis under sum-log-prob / length^alpha scoring.
 
-    With beam=1 and alpha=0 this reduces exactly to greedy_decode.
+    All live hypotheses step as one batch. With beam=1 and alpha=0 this
+    reduces exactly to greedy_decode.
     """
     if beam < 1:
         raise ValueError(f"beam width must be >= 1, got {beam}")
     with no_grad():
-        memory = model.encode_for_decode(src_ids)
+        state = model.start_decode([src_ids])
         active = [Hypothesis(tokens=(), log_prob=0.0)]
         finished: list[Hypothesis] = []
         for _ in range(max_len + 1):  # +1 leaves room for EOS after max_len tokens
             if not active:
                 break
-            candidates: list[Hypothesis] = []
-            for hyp in active:
-                lp = model.next_logprobs(memory, [BOS_ID, *hyp.tokens])
+            lps = model.step_logprobs(state, [h.tokens[-1] if h.tokens else BOS_ID for h in active])
+            candidates: list[tuple[Hypothesis, int]] = []  # (hypothesis, row of its parent)
+            for row, (hyp, lp) in enumerate(zip(active, lps)):
                 top = np.argsort(-lp, kind="stable")[:beam]
-                candidates.extend(hyp.extend(int(t), float(lp[t])) for t in top)
-            candidates.sort(key=lambda h: -h.log_prob)
-            active = []
-            for hyp in candidates[:beam]:
+                candidates.extend((hyp.extend(int(t), float(lp[t])), row) for t in top)
+            candidates.sort(key=lambda c: -c[0].log_prob)
+            active, parents = [], []
+            for hyp, row in candidates[:beam]:
                 if hyp.finished:
                     finished.append(hyp)
                 elif len(hyp.tokens) >= max_len:
                     finished.append(hyp)
                 else:
                     active.append(hyp)
+                    parents.append(row)
+            if active:
+                model.reorder(state, parents)
     pool = finished if finished else active
     best = max(pool, key=lambda h: h.score(length_penalty_alpha))
     tokens = list(best.tokens)
@@ -82,16 +109,18 @@ def beam_search(
 
 def translate_corpus(model, bpe: BpeModel, sentences: list[str], max_len: int, beam: int = 1,
                      length_penalty_alpha: float = 0.0) -> list[str]:
-    """BPE-encode, decode, and join subwords back into plain text."""
-    out = []
-    for sentence in sentences:
-        ids = apply_bpe(bpe, sentence) + [EOS_ID]
-        if beam == 1 and length_penalty_alpha == 0.0:
-            hyp = greedy_decode(model, ids, max_len)
-        else:
-            hyp = beam_search(model, ids, beam, max_len, length_penalty_alpha)
-        out.append(ids_to_text(bpe, hyp))
-    return out
+    """BPE-encode, decode, and join subwords back into plain text, in input
+    order. Greedy decoding runs DECODE_CHUNK sentences at a time as one batch."""
+    sources = [apply_bpe(bpe, sentence) + [EOS_ID] for sentence in sentences]
+    if beam == 1 and length_penalty_alpha == 0.0:
+        hyps = [
+            hyp
+            for lo in range(0, len(sources), DECODE_CHUNK)
+            for hyp in greedy_decode_batch(model, sources[lo : lo + DECODE_CHUNK], max_len)
+        ]
+    else:
+        hyps = [beam_search(model, ids, beam, max_len, length_penalty_alpha) for ids in sources]
+    return [ids_to_text(bpe, hyp) for hyp in hyps]
 
 
 def token_accuracy(model, batches) -> float:

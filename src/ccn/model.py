@@ -16,6 +16,12 @@ Per block and per branch:
            maps them back to model width, and passes them through one
            shared feed-forward sublayer.
 Each stream ends with a final layer norm when the stack is non-empty.
+
+Inference decodes incrementally (Shazeer 2019): ``start_decode`` encodes a
+padded batch of sources and projects the cross-attention keys and values
+once, and each ``step_logprobs`` feeds one token per row against cached
+self-attention keys and values. ``next_logprobs`` re-runs the decoder over
+the whole prefix and is the reference the cached path is tested against.
 """
 
 from __future__ import annotations
@@ -29,12 +35,13 @@ from .attention import (
     RIGHT,
     AttentionHeadParams,
     MultiHeadParams,
+    attend_heads,
     causal_mask,
     crossed_routing,
-    multi_head,
     padding_mask,
     routed_attention,
     self_routing,
+    split_heads,
 )
 from .errors import DataError, ShapeError
 from .rng import Rng
@@ -47,6 +54,7 @@ from .tensor import (
     embedding,
     layer_norm,
     matmul,
+    no_grad,
     parameter,
     relu,
     scale,
@@ -250,6 +258,22 @@ class EncoderMemory:
             )
 
 
+@dataclass
+class DecodeState:
+    """Incremental decoding of a batch of rows (sentences or hypotheses).
+
+    ``cross[i]`` holds decoder block i's cross-attention (keys, values) per
+    branch, projected once from the encoder memory; ``past[i]`` holds its
+    self-attention (keys, values) of the ``length`` positions fed so far
+    (None before the first). Arrays are (rows, heads, positions, d_k).
+    """
+
+    src_pad: np.ndarray
+    cross: list[list[tuple[Tensor, Tensor]]]
+    past: list[tuple[Tensor, Tensor] | None]
+    length: int = 0
+
+
 class Seq2SeqModel:
     """One encoder-decoder skeleton over the branches of ``config.arch``.
 
@@ -303,21 +327,25 @@ class Seq2SeqModel:
         for p in self.params.values():
             p.zero_grad()
 
-    def _check_len(self, ids: np.ndarray, what: str):
-        if ids.shape[-1] > self.config.max_len:
-            raise DataError(
-                f"{what} length {ids.shape[-1]} exceeds max_len {self.config.max_len}"
-            )
+    def _check_len(self, length: int, what: str):
+        if length > self.config.max_len:
+            raise DataError(f"{what} length {length} exceeds max_len {self.config.max_len}")
 
     def embed_tokens(
-        self, ids: np.ndarray, positions: bool = True, training: bool = False, rng: Rng | None = None
+        self,
+        ids: np.ndarray,
+        positions: bool = True,
+        training: bool = False,
+        rng: Rng | None = None,
+        start: int = 0,
     ) -> Tensor:
-        """Shared-table lookup scaled by sqrt(d) plus sinusoidal positions."""
+        """Shared-table lookup scaled by sqrt(d) plus sinusoidal positions;
+        ``ids`` sit at positions ``start``, ``start + 1``, ..."""
         ids = np.asarray(ids)
-        self._check_len(ids, "sequence")
+        self._check_len(start + ids.shape[-1], "sequence")
         x = scale(embedding(self.embed_table, ids), float(np.sqrt(self.config.d_model)))
         if positions:
-            x = add(x, Tensor(self.positions[: ids.shape[-1]]))
+            x = add(x, Tensor(self.positions[start : start + ids.shape[-1]]))
         return dropout(x, self.config.dropout_p, rng, training)
 
     def _sublayer(self, x: Tensor, sub_out: Tensor, norm: NormParams, training, rng) -> Tensor:
@@ -366,28 +394,43 @@ class Seq2SeqModel:
             xs = [_norm(x, self.enc_final[b]) for b, x in zip(self.branches, xs)]
         return EncoderMemory(mem_left=xs[0], mem_right=xs[-1], src_pad=src_pad)
 
-    def _decode_branch(self, block, branch: str, s: Tensor, mem: Tensor, cross_mask, training, rng) -> Tensor:
-        """One decoder branch: cross-attention into a memory, then its own FFN."""
+    def _memory_kv(self, block, branch: str, mem: Tensor) -> tuple[Tensor, Tensor]:
+        """Head-split cross-attention keys and values of one branch's memory."""
+        cross = block[branch]["cross"]
+        return split_heads(mem, cross, "w_k"), split_heads(mem, cross, "w_v")
+
+    def _decode_branch(self, block, branch: str, s: Tensor, mem, cross_mask, training, rng) -> Tensor:
+        """One decoder branch: cross-attention into a memory, then its own FFN.
+
+        ``mem`` is the branch's memory Tensor, or its (keys, values) from
+        ``_memory_kv``.
+        """
         sub = block[branch]
-        c = self._sublayer(
-            s, multi_head(s, mem, mem, sub["cross"], mask=cross_mask), sub["cross_norm"], training, rng
-        )
+        kh, vh = self._memory_kv(block, branch, mem) if isinstance(mem, Tensor) else mem
+        attn = attend_heads(split_heads(s, sub["cross"], "w_q"), kh, vh, sub["cross"], cross_mask)
+        c = self._sublayer(s, attn, sub["cross_norm"], training, rng)
         return self._ffn_sublayer(c, sub, training, rng)
 
-    def decode(self, memory: EncoderMemory, tgt_in, training=False, rng=None) -> Tensor:
-        tgt_in = np.atleast_2d(np.asarray(tgt_in))
-        m = tgt_in.shape[-1]
-        self._check_len(tgt_in, "target")
-        self_mask = causal_mask(m)
-        cross_mask = padding_mask(m, memory.src_pad)
-        t = self.embed_tokens(tgt_in, training=training, rng=rng)
-        for block in self.dec_blocks:
-            s = self._sublayer(
-                t, multi_head(t, t, t, block["self_attn"], mask=self_mask), block["self_norm"], training, rng
-            )
+    def _decoder_stack(self, t: Tensor, mems, past, self_mask, cross_mask, training, rng):
+        """Run the decoder blocks over the target positions ``t``.
+
+        ``mems[i]`` holds block i's memory per branch (see ``_decode_branch``);
+        ``past[i]`` is block i's self-attention (keys, values) of the
+        positions before ``t``, or None. Returns the final hidden states and
+        every block's self-attention (keys, values) through ``t``.
+        """
+        present = []
+        for block, block_mems, block_past in zip(self.dec_blocks, mems, past):
+            sa = block["self_attn"]
+            kh, vh = split_heads(t, sa, "w_k"), split_heads(t, sa, "w_v")
+            if block_past is not None:
+                kh, vh = (concat([old, new], axis=-2) for old, new in zip(block_past, (kh, vh)))
+            present.append((kh, vh))
+            attn = attend_heads(split_heads(t, sa, "w_q"), kh, vh, sa, self_mask)
+            s = self._sublayer(t, attn, block["self_norm"], training, rng)
             outs = [
                 self._decode_branch(block, b, s, mem, cross_mask, training, rng)
-                for b, mem in zip(self.branches, (memory.mem_left, memory.mem_right))
+                for b, mem in zip(self.branches, block_mems)
             ]
             if len(outs) == 1:
                 t = outs[0]
@@ -397,6 +440,18 @@ class Seq2SeqModel:
             t = self._ffn_sublayer(u, block, training, rng)
         if self.dec_blocks:
             t = _norm(t, self.dec_final)
+        return t, present
+
+    def decode(self, memory: EncoderMemory, tgt_in, training=False, rng=None) -> Tensor:
+        tgt_in = np.atleast_2d(np.asarray(tgt_in))
+        m = tgt_in.shape[-1]
+        self._check_len(m, "target")
+        t = self.embed_tokens(tgt_in, training=training, rng=rng)
+        n = len(self.dec_blocks)
+        mems = [(memory.mem_left, memory.mem_right)] * n
+        t, _ = self._decoder_stack(
+            t, mems, [None] * n, causal_mask(m), padding_mask(m, memory.src_pad), training, rng
+        )
         return self.project_vocab(t)
 
     def forward_logits(self, batch, training: bool = False, rng: Rng | None = None) -> Tensor:
@@ -412,17 +467,64 @@ class Seq2SeqModel:
 
     # -- decode-time helpers ------------------------------------------------
 
-    def encode_for_decode(self, src_ids: list[int]) -> EncoderMemory:
-        ids = np.asarray(src_ids, dtype=np.int64)[None, :]
-        # every branch reads the clean source at inference
-        return self.encode(*[ids] * len(self.branches))
-
     def next_logprobs(self, memory: EncoderMemory, prefix: list[int]) -> np.ndarray:
-        """Log-probabilities of the next token after a [BOS, ...] prefix."""
+        """Log-probabilities of the next token after a [BOS, ...] prefix.
+
+        Re-runs the decoder over the whole prefix: the reference that the
+        cached ``step_logprobs`` is tested against.
+        """
         ids = np.asarray(prefix, dtype=np.int64)[None, :]
         logits = self.decode(memory, ids).data[0, -1].astype(np.float64)
         logits -= logits.max()
         return logits - np.log(np.exp(logits).sum())
+
+    def start_decode(self, sources: list[list[int]]) -> DecodeState:
+        """Encode ``sources`` as one batch padded with PAD_ID, and project each
+        decoder block's cross-attention keys and values once per branch."""
+        if not sources:
+            raise DataError("no sources to decode")
+        if any(not len(s) for s in sources):
+            raise DataError("cannot decode an empty source")
+        ids = np.full((len(sources), max(len(s) for s in sources)), PAD_ID, dtype=np.int64)
+        for row, s in zip(ids, sources):
+            row[: len(s)] = s
+        # no tape: the state outlives the call, and a tape would chain every step
+        with no_grad():
+            # every branch reads the clean source at inference
+            memory = self.encode(*[ids] * len(self.branches))
+            mems = (memory.mem_left, memory.mem_right)
+            cross = [
+                [self._memory_kv(block, b, mem) for b, mem in zip(self.branches, mems)]
+                for block in self.dec_blocks
+            ]
+        return DecodeState(memory.src_pad, cross, [None] * len(self.dec_blocks))
+
+    def step_logprobs(self, state: DecodeState, tokens) -> np.ndarray:
+        """Feed one token per row at the next position; (rows, V) float64
+        log-probabilities of the token after it. Appends that position's
+        self-attention keys and values to ``state``."""
+        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        self._check_len(state.length + 1, "target")
+        with no_grad():
+            t = self.embed_tokens(tokens, start=state.length)
+            t, state.past = self._decoder_stack(
+                t, state.cross, state.past, None, padding_mask(1, state.src_pad), False, None
+            )
+            logits = self.project_vocab(t).data[:, -1].astype(np.float64)
+        state.length += 1
+        logits -= logits.max(axis=-1, keepdims=True)
+        return logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+
+    def reorder(self, state: DecodeState, rows) -> None:
+        """Keep only ``rows`` of ``state``, in that order; a row may repeat."""
+        rows = np.asarray(rows, dtype=np.intp)
+
+        def gather(kv):
+            return tuple(Tensor(x.data[rows]) for x in kv)
+
+        state.src_pad = state.src_pad[rows]
+        state.cross = [[gather(kv) for kv in block] for block in state.cross]
+        state.past = [None if kv is None else gather(kv) for kv in state.past]
 
 
 # perfbench/spans.py wraps methods through these names when it is imported

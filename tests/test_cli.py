@@ -2,9 +2,10 @@
 
 import pytest
 
-from ccn import cli
-from ccn.bpe import load_bpe
+from ccn import cli, evaluation
+from ccn.bpe import EOS_ID, apply_bpe, ids_to_text, load_bpe
 from ccn.checkpoint import save_model
+from ccn.evaluation import beam_search, greedy_decode
 from ccn.model import build_model, preset
 from ccn.rng import Rng
 from dataclasses import replace
@@ -176,6 +177,33 @@ def test_translate_runs_on_saved_checkpoint(capsys, tmp_path):
     )
     assert code == 0
     assert len(out2.splitlines()) == 3
+
+
+@pytest.mark.parametrize("beam", [1, 2])
+def test_translate_writes_lines_in_input_order(capsys, tmp_path, monkeypatch, beam):
+    # two sentences per greedy batch, so the five lines span three batches
+    monkeypatch.setattr(evaluation, "DECODE_CHUNK", 2)
+    data = tmp_path / "d"
+    run_cli(capsys, "make-synth", "--seed", "4", "--out", str(data), "--vocab-size", "10",
+            "--n-train", "20", "--n-dev", "5", "--n-test", "3")
+    run_cli(capsys, "learn-bpe", "--src", str(data / "train.src"), "--tgt", str(data / "train.tgt"),
+            "--vocab-size", "18", "--out", str(tmp_path))
+    bpe = load_bpe(tmp_path / "bpe.vocab")
+    model = build_model(replace(preset("tiny"), vocab_size=bpe.vocab_size), Rng(1))
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, model)
+    code, out, _ = run_cli(
+        capsys, "translate", "--ckpt", str(ckpt), "--bpe", str(tmp_path / "bpe.vocab"),
+        "--src", str(data / "dev.src"), "--max-len", "8", "--beam", str(beam),
+    )
+    assert code == 0
+    want = []
+    for line in (data / "dev.src").read_text(encoding="utf-8").splitlines():
+        ids = apply_bpe(bpe, line) + [EOS_ID]
+        hyp = greedy_decode(model, ids, 8) if beam == 1 else beam_search(model, ids, beam, 8)
+        want.append(ids_to_text(bpe, hyp))
+    assert len(set(want)) > 1, want
+    assert out.splitlines() == want
 
 
 def test_translate_truncated_checkpoint_exits_two(capsys, tmp_path):

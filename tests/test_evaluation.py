@@ -4,11 +4,23 @@ n-gram oracle."""
 import numpy as np
 import pytest
 
-from ccn.bpe import BOS_ID, EOS_ID
+from dataclasses import replace
+
+from ccn.bpe import BOS_ID, EOS_ID, learn_bpe
+from ccn.data import gen_synthetic
 from ccn.errors import DataError
-from ccn.evaluation import Hypothesis, beam_search, corpus_bleu, greedy_decode, modified_precision
-from ccn.model import ModelConfig, build_model
+from ccn.evaluation import (
+    Hypothesis,
+    beam_search,
+    corpus_bleu,
+    greedy_decode,
+    greedy_decode_batch,
+    modified_precision,
+    translate_corpus,
+)
+from ccn.model import ModelConfig, build_model, preset
 from ccn.rng import Rng
+from ccn.tensor import no_grad
 
 
 class TableModel:
@@ -27,6 +39,18 @@ class TableModel:
         draws[EOS_ID] += self.eos_boost
         logits = draws - draws.max()
         return logits - np.log(np.exp(logits).sum())
+
+    # the incremental decode protocol; the state is one prefix list per row
+    def start_decode(self, sources):
+        return [[] for _ in sources]
+
+    def step_logprobs(self, state, tokens):
+        for prefix, t in zip(state, tokens):
+            prefix.append(int(t))
+        return np.stack([self.next_logprobs(None, prefix) for prefix in state])
+
+    def reorder(self, state, rows):
+        state[:] = [list(state[r]) for r in rows]
 
 
 def exhaustive_best(model, src_ids, max_len):
@@ -130,6 +154,104 @@ def test_hypothesis_logprob_nonincreasing_as_tokens_append():
         assert grown.log_prob <= hyp.log_prob
         hyp = grown
         prefix.append(t)
+
+
+# ---------------------------------------------------------------------------
+# cached, batched decoding of real models against full recompute
+# ---------------------------------------------------------------------------
+
+
+def _real_model(arch, n_blocks, seed):
+    cfg = ModelConfig(
+        arch=arch, d_model=16, n_heads=2, n_blocks=n_blocks, d_ff=32, vocab_size=16,
+        dropout_p=0.0, swap_prob=0.0, max_len=16, label_smoothing=0.0,
+    )
+    model = build_model(cfg, Rng(seed), dtype=np.float64)
+    # a longer EOS row in the tied output projection makes EOS win at some
+    # steps, so rows leave the batch at different times
+    model.embed_table.data[EOS_ID] *= 2.0
+    return model
+
+
+def _memory(model, src):
+    ids = np.asarray(src)[None, :]
+    return model.encode(*[ids] * len(model.branches))
+
+
+def recompute_greedy(model, src, max_len):
+    """Greedy decoding by re-running the decoder over the whole prefix."""
+    with no_grad():
+        memory = _memory(model, src)
+        prefix = [BOS_ID]
+        for _ in range(max_len):
+            token = int(np.argmax(model.next_logprobs(memory, prefix)))
+            if token == EOS_ID:
+                break
+            prefix.append(token)
+    return prefix[1:]
+
+
+def recompute_beam(model, src, beam, max_len):
+    """Beam search by full recompute, one hypothesis at a time."""
+    with no_grad():
+        memory = _memory(model, src)
+        active, finished = [Hypothesis(tokens=(), log_prob=0.0)], []
+        for _ in range(max_len + 1):
+            if not active:
+                break
+            candidates = []
+            for hyp in active:
+                lp = model.next_logprobs(memory, [BOS_ID, *hyp.tokens])
+                top = np.argsort(-lp, kind="stable")[:beam]
+                candidates.extend(hyp.extend(int(t), float(lp[t])) for t in top)
+            candidates.sort(key=lambda h: -h.log_prob)
+            active = []
+            for hyp in candidates[:beam]:
+                (finished if hyp.finished or len(hyp.tokens) >= max_len else active).append(hyp)
+    tokens = list(max(finished or active, key=lambda h: h.log_prob).tokens)
+    return tokens[:-1] if tokens and tokens[-1] == EOS_ID else tokens
+
+
+# different lengths force padding
+REAL_SOURCES = [[5, 6, 7, EOS_ID], [8, EOS_ID], [9, 10, 11, 12, 13, EOS_ID], [14, 4, EOS_ID], [6, 5, EOS_ID]]
+
+# (arch, n_blocks, init seed); with blocks, each seed makes the rows of
+# REAL_SOURCES stop after at least three different lengths
+REAL_MODELS = [
+    ("thm", 0, 9), ("thm", 1, 11), ("thm", 2, 10),
+    ("transformer", 0, 9), ("transformer", 1, 22), ("transformer", 2, 30),
+]
+
+
+@pytest.mark.parametrize("arch, n_blocks, seed", REAL_MODELS)
+def test_batched_greedy_equals_per_sentence_and_full_recompute(arch, n_blocks, seed):
+    model = _real_model(arch, n_blocks, seed)
+    batched = greedy_decode_batch(model, REAL_SOURCES, 10)
+    assert batched == [greedy_decode(model, s, 10) for s in REAL_SOURCES]
+    assert batched == [recompute_greedy(model, s, 10) for s in REAL_SOURCES]
+    if n_blocks:  # without blocks the output ignores the source
+        assert len({len(h) for h in batched}) >= 3, batched
+
+
+@pytest.mark.parametrize("arch, n_blocks, seed", REAL_MODELS)
+def test_cached_beam_search_equals_full_recompute(arch, n_blocks, seed):
+    model = _real_model(arch, n_blocks, seed)
+    for src in REAL_SOURCES:
+        assert beam_search(model, src, 3, 8) == recompute_beam(model, src, 3, 8), src
+
+
+def test_real_model_rejects_empty_source():
+    model = _real_model("thm", 1, 11)
+    with pytest.raises(DataError, match="cannot decode an empty source"):
+        greedy_decode(model, [], 5)
+
+
+def test_translate_empty_corpus_is_empty():
+    corpus = gen_synthetic("copy", 8, 6, (2, 4), Rng(12))
+    bpe = learn_bpe(corpus.lines(), 12)
+    model = build_model(replace(preset("tiny"), vocab_size=bpe.vocab_size), Rng(12))
+    assert translate_corpus(model, bpe, [], max_len=5) == []
+    assert translate_corpus(model, bpe, [], max_len=5, beam=2) == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ccn.attention import LEFT, RIGHT, padding_mask, self_routing
-from ccn.bpe import learn_bpe
+from ccn.bpe import BOS_ID, learn_bpe
 from ccn.checkpoint import load_checkpoint, model_from_checkpoint, save_model
 from ccn.data import gen_synthetic, make_batches
 from ccn.errors import DataError, ShapeError, VocabError
@@ -219,6 +219,93 @@ def test_baseline_encoder_matches_thm_left_branch_under_all_left_routing():
         thm_mem = thm.encode(src, src, routing=(self_routing(LEFT), self_routing(RIGHT)))
         base_mem = base.encode(src)
     assert np.abs(thm_mem.mem_left.data - base_mem.mem_left.data).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# incremental decoding against the full-recompute oracle (next_logprobs)
+# ---------------------------------------------------------------------------
+
+# sources of different lengths, so the batch is padded
+DECODE_SOURCES = [[5, 6, 7, 8, 2], [9, 2], [10, 11, 12, 2]]
+
+
+def _memory(model, src):
+    ids = np.asarray(src)[None, :]
+    return model.encode(*[ids] * len(model.branches))
+
+
+def _token_columns(rng, rows: int, steps: int) -> np.ndarray:
+    """(steps, rows) tokens to feed, BOS first."""
+    cols = rng.integers(4, 20, size=(steps, rows))
+    cols[0] = BOS_ID
+    return cols
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+@pytest.mark.parametrize("n_blocks", [0, 1, 2])
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)], ids=["float64", "float32"])
+def test_step_logprobs_match_full_recompute(arch, n_blocks, dtype, tol):
+    model = build_model(tiny_cfg(arch, n_blocks=n_blocks), Rng(21), dtype=dtype)
+    cols = _token_columns(np.random.default_rng(3), len(DECODE_SOURCES), 7)
+    state = model.start_decode(DECODE_SOURCES)
+    with no_grad():
+        memories = [_memory(model, s) for s in DECODE_SOURCES]
+    for step, col in enumerate(cols):
+        got = model.step_logprobs(state, col)
+        assert got.shape == (len(DECODE_SOURCES), 20) and got.dtype == np.float64
+        for row, memory in enumerate(memories):
+            with no_grad():
+                want = model.next_logprobs(memory, list(cols[: step + 1, row]))
+            assert np.abs(got[row] - want).max() < tol, (step, row)
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+def test_step_row_ignores_the_other_rows(arch):
+    # the batched analogue of acceptance 5: another row's source and tokens
+    # do not move a row's log-probabilities
+    model = build_model(tiny_cfg(arch), Rng(22), dtype=np.float64)
+    rng = np.random.default_rng(4)
+    kept, other, changed = (_token_columns(rng, 1, 6)[:, 0] for _ in range(3))
+
+    def first_row(other_src, other_tokens):
+        state = model.start_decode([[5, 6, 7, 2], other_src])
+        return np.stack([model.step_logprobs(state, [a, b])[0] for a, b in zip(kept, other_tokens)])
+
+    base = first_row([8, 9, 10, 2], other)
+    # same padded width: bit for bit
+    assert np.array_equal(first_row([11, 12, 13, 2], changed), base)
+    # a longer source widens everyone's padding: equal up to rounding
+    assert np.abs(first_row([11, 12, 13, 14, 15, 16, 17, 2], changed) - base).max() < 1e-12
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+@pytest.mark.parametrize("rows", [[2, 0, 0], [1], [2, 1]], ids=["repeat", "drop", "permute"])
+def test_reordered_rows_continue_the_rows_they_were_gathered_from(arch, rows):
+    model = build_model(tiny_cfg(arch), Rng(23), dtype=np.float64)
+    cols = _token_columns(np.random.default_rng(5), len(DECODE_SOURCES), 6)
+    state, ref = model.start_decode(DECODE_SOURCES), model.start_decode(DECODE_SOURCES)
+    for col in cols[:3]:
+        model.step_logprobs(state, col)
+        model.step_logprobs(ref, col)
+    model.reorder(state, rows)
+    for col in cols[3:]:
+        got = model.step_logprobs(state, col[rows])
+        assert np.abs(got - model.step_logprobs(ref, col)[rows]).max() < 1e-12
+
+
+def test_step_past_max_len_raises():
+    model = build_model(tiny_cfg(max_len=4), Rng(24))
+    state = model.start_decode([[5, 2]])
+    for token in (1, 5, 6, 7):
+        model.step_logprobs(state, [token])
+    with pytest.raises(DataError, match="target length 5 exceeds max_len 4"):
+        model.step_logprobs(state, [8])
+
+
+def test_start_decode_rejects_an_empty_source():
+    model = build_model(tiny_cfg(), Rng(25))
+    with pytest.raises(DataError, match="cannot decode an empty source"):
+        model.start_decode([[5, 2], []])
 
 
 # ---------------------------------------------------------------------------
