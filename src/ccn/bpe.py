@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
 SPECIALS = (PAD, BOS, EOS, UNK)
@@ -147,7 +147,7 @@ def save_bpe(model: BpeModel, path):
 
 
 def load_bpe(path) -> BpeModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if MERGE_SENTINEL not in lines:
         raise DataError(f"{path}: missing {MERGE_SENTINEL!r} sentinel")
     split = lines.index(MERGE_SENTINEL)

@@ -113,6 +113,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, int, dict[str, np.ndarray]]:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{path}: byte {pos}: parameter name is not UTF-8") from None
+        if not name:
+            raise DataError(f"{path}: byte {record}: record has an empty parameter name")
         pos += name_len
         (rank,) = unpack("<I", pos, f"record header of {name}")
         pos += 4

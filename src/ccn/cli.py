@@ -18,7 +18,7 @@ import numpy as np
 from .bpe import learn_bpe, apply_bpe, load_bpe, save_bpe
 from .checkpoint import model_from_checkpoint
 from .data import gen_synthetic, length_filter, load_corpus, make_batches, save_corpus
-from .errors import CcnError, DivergenceError
+from .errors import CcnError, DivergenceError, read_text
 from .evaluation import corpus_bleu, translate_corpus
 from .gradcheck import finite_diff_check
 from .model import PRESETS, build_model, count_parameters, preset
@@ -140,7 +140,7 @@ def _apply_config_file(command: str, args: argparse.Namespace, argv: list[str]):
         return
     known = {flag.lstrip("-"): flag for flag, _ in _COMMANDS[command]}
     given = {a.split("=")[0].lstrip("-") for a in argv if a.startswith("--")}
-    text = Path(args.config).read_text(encoding="utf-8")
+    text = read_text(args.config)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -192,7 +192,7 @@ def _cmd_learn_bpe(args) -> int:
 
 def _cmd_apply_bpe(args) -> int:
     model = load_bpe(args.bpe)
-    lines = Path(args.src).read_text(encoding="utf-8").splitlines()
+    lines = read_text(args.src).splitlines()
     segmented = [
         " ".join(model.id_to_token[i] for i in apply_bpe(model, line)) for line in lines
     ]
@@ -248,7 +248,7 @@ def _cmd_train(args) -> int:
 def _cmd_translate(args) -> int:
     model, _ = model_from_checkpoint(args.ckpt)
     bpe = load_bpe(args.bpe)
-    lines = Path(args.src).read_text(encoding="utf-8").splitlines()
+    lines = read_text(args.src).splitlines()
     hyps = translate_corpus(
         model, bpe, lines, max_len=args.max_len, beam=args.beam, length_penalty_alpha=args.alpha
     )
@@ -261,8 +261,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
-    hyp = Path(args.hyp).read_text(encoding="utf-8").splitlines()
-    ref = Path(args.ref).read_text(encoding="utf-8").splitlines()
+    hyp = read_text(args.hyp).splitlines()
+    ref = read_text(args.ref).splitlines()
     print(f"{corpus_bleu(hyp, ref):.2f}")
     return EXIT_OK
 
@@ -305,7 +305,7 @@ def _cmd_param_count(args) -> int:
 
 
 def _cmd_select_model(args) -> int:
-    records = RunRecord.from_log(Path(args.log).read_text(encoding="utf-8"))
+    records = RunRecord.from_log(read_text(args.log))
     best = select_best(records)
     print(f"best_epoch {best}")
     if args.k is not None:
@@ -325,7 +325,7 @@ plot 'loss.dat' using 1:2 with linespoints title 'train loss', \\
 
 
 def _cmd_plot_loss(args) -> int:
-    records = RunRecord.from_log(Path(args.log).read_text(encoding="utf-8"))
+    records = RunRecord.from_log(read_text(args.log))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "loss.dat", "w", encoding="utf-8") as fh:
@@ -372,6 +372,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"ccn {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # the message names exc.filename
+        print(f"ccn {args.command}: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

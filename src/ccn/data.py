@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bpe import BOS_ID, EOS_ID, PAD_ID, BpeModel, apply_bpe
-from .errors import DataError
+from .errors import DataError, read_text
 from .rng import Rng
 
 _SPECIAL_IDS = frozenset((PAD_ID, BOS_ID, EOS_ID))
@@ -40,8 +40,8 @@ class ParallelCorpus:
 
 
 def load_corpus(src_path, tgt_path) -> ParallelCorpus:
-    src = Path(src_path).read_text(encoding="utf-8").splitlines()
-    tgt = Path(tgt_path).read_text(encoding="utf-8").splitlines()
+    src = read_text(src_path).splitlines()
+    tgt = read_text(tgt_path).splitlines()
     if len(src) != len(tgt):
         raise DataError(
             f"corpus sides disagree: {src_path} has {len(src)} lines, {tgt_path} has {len(tgt)}"

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy shared across the library, and the text-file reader
+that reports undecodable input as a DataError.
 
 The CLI maps these onto process exit codes: usage errors (plain ValueError)
 exit 1, CcnError subclasses below exit 2, DivergenceError exits 3.
 """
+
+from pathlib import Path
 
 
 class CcnError(Exception):
@@ -35,3 +38,12 @@ class DivergenceError(CcnError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
+
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; bytes that are not UTF-8 raise a
+    DataError naming the file and the byte offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from None

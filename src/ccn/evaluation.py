@@ -1,12 +1,15 @@
-"""Decoding (greedy and beam) and corpus-level BLEU.
+"""Decoding and corpus-level BLEU.
 
-Both decoders drive the model's incremental decode protocol: ``start_decode``
-(sources), ``step_logprobs`` (one token per row) and ``reorder`` (keep rows).
+One decoder, ``beam_decode_batch``, serves greedy search (beam 1) and beam
+search. It steps every live hypothesis of every source as one padded batch
+through the model's incremental decode protocol: ``start_decode``
+(sources), ``step_logprobs`` (one token per row) and ``reorder`` (keep
+rows). ``translate_corpus`` decodes ``DECODE_CHUNK // beam`` sentences per
+batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import Counter
 
 import numpy as np
@@ -15,111 +18,94 @@ from .bpe import BOS_ID, EOS_ID, BpeModel, apply_bpe, ids_to_text
 from .errors import DataError
 from .tensor import no_grad
 
-
-@dataclass(frozen=True)
-class Hypothesis:
-    tokens: tuple[int, ...]
-    log_prob: float
-    finished: bool = False
-
-    def extend(self, token: int, lp: float) -> "Hypothesis":
-        return Hypothesis(self.tokens + (token,), self.log_prob + lp, finished=token == EOS_ID)
-
-    def score(self, alpha: float) -> float:
-        if alpha == 0.0:
-            return self.log_prob
-        return self.log_prob / max(len(self.tokens), 1) ** alpha
-
-
-# sentences per padded greedy batch in translate_corpus: bounds the
+# hypothesis rows per padded batch in translate_corpus: bounds the
 # (rows x vocab) logits of one step at real vocabulary sizes
 DECODE_CHUNK = 64
 
 
-def greedy_decode_batch(model, sources: list[list[int]], max_len: int) -> list[list[int]]:
-    """Greedy decoding of every source as one padded batch: each row appends
-    its argmax token until EOS or max_len, and leaves the batch at EOS."""
+def beam_decode_batch(
+    model, sources: list[list[int]], beam: int, max_len: int, length_penalty_alpha: float = 0.0
+) -> list[list[int]]:
+    """Beam search over every source at once; beam 1 is greedy decoding.
+
+    Each step, every live row proposes its ``beam`` best next tokens (ties
+    go to the lower id), and each sentence keeps the ``beam`` proposals of
+    highest summed log-prob, ties going to the earlier row and then the
+    better-ranked token. A hypothesis finishes when it ends in EOS or holds
+    ``max_len`` tokens. Each sentence returns the first of its finished
+    hypotheses, in finishing order, that maximises log-prob / length^alpha
+    (the length counts the EOS), without the EOS.
+    """
+    if beam < 1:
+        raise ValueError(f"beam width must be >= 1, got {beam}")
+    if any(not len(s) for s in sources):
+        raise DataError("cannot decode an empty source")
     if not sources:
         return []
+    finished: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in sources]
     with no_grad():
         state = model.start_decode(sources)
-        out: list[list[int]] = [[] for _ in sources]
-        live = np.arange(len(sources))  # the sentence each row decodes
+        sent = np.arange(len(sources))  # each row's sentence; a sentence's rows are contiguous
         tokens = np.full(len(sources), BOS_ID)
-        for _ in range(max_len):
-            tokens = np.argmax(model.step_logprobs(state, tokens), axis=-1)
-            going = tokens != EOS_ID
-            for i, t in zip(live[going], tokens[going]):
-                out[i].append(int(t))
-            if not going.all():
-                if not going.any():
+        scores = np.zeros(len(sources))
+        prefixes: list[tuple[int, ...]] = [()] * len(sources)
+        for length in range(1, max_len + 1):
+            lp = model.step_logprobs(state, tokens)
+            if beam == 1:  # one proposal per row, one row per sentence: no sorting to do
+                rows, tokens = np.arange(len(lp)), lp.argmax(axis=1)
+                scores = scores + lp[rows, tokens]
+            else:
+                top = np.argsort(-lp, kind="stable")[:, :beam]
+                cand = (scores[:, None] + np.take_along_axis(lp, top, axis=1)).ravel()
+                cand_sent = np.repeat(sent, top.shape[1])
+                pick = np.lexsort((-cand, cand_sent))  # stable: by sentence, then best first
+                grouped = cand_sent[pick]
+                pick = pick[np.arange(pick.size) - np.searchsorted(grouped, grouped) < beam]
+                rows, tokens, scores = pick // top.shape[1], top.ravel()[pick], cand[pick]
+            done = (tokens == EOS_ID) | (length == max_len)
+            if done.any():
+                for i in np.flatnonzero(done):
+                    finished[sent[rows[i]]].append((float(scores[i]), prefixes[rows[i]] + (int(tokens[i]),)))
+                if done.all():
                     break
-                rows = np.flatnonzero(going)
+                live = np.flatnonzero(~done)
+                rows, tokens, scores = rows[live], tokens[live], scores[live]
+            prefixes = [prefixes[r] + (t,) for r, t in zip(rows.tolist(), tokens.tolist())]
+            sent = sent[rows]
+            if rows.size != len(lp) or (rows != np.arange(rows.size)).any():
                 model.reorder(state, rows)
-                live, tokens = live[rows], tokens[rows]
+    alpha = length_penalty_alpha
+    out = []
+    for hyps in finished:
+        best = max(hyps, key=lambda h: h[0] / len(h[1]) ** alpha if alpha else h[0], default=(0.0, ()))[1]
+        out.append(list(best[:-1] if best and best[-1] == EOS_ID else best))
     return out
 
 
 def greedy_decode(model, src_ids: list[int], max_len: int) -> list[int]:
     """Append the argmax token until EOS or max_len; deterministic."""
-    if not len(src_ids):
-        raise DataError("cannot decode an empty source")
-    return greedy_decode_batch(model, [src_ids], max_len)[0]
+    return beam_decode_batch(model, [src_ids], 1, max_len)[0]
 
 
 def beam_search(
     model, src_ids: list[int], beam: int, max_len: int, length_penalty_alpha: float = 0.0
 ) -> list[int]:
-    """Best finished hypothesis under sum-log-prob / length^alpha scoring.
-
-    All live hypotheses step as one batch. With beam=1 and alpha=0 this
-    reduces exactly to greedy_decode.
-    """
-    if beam < 1:
-        raise ValueError(f"beam width must be >= 1, got {beam}")
-    with no_grad():
-        state = model.start_decode([src_ids])
-        active = [Hypothesis(tokens=(), log_prob=0.0)]
-        finished: list[Hypothesis] = []
-        for _ in range(max_len + 1):  # +1 leaves room for EOS after max_len tokens
-            if not active:
-                break
-            lps = model.step_logprobs(state, [h.tokens[-1] if h.tokens else BOS_ID for h in active])
-            candidates: list[tuple[Hypothesis, int]] = []  # (hypothesis, row of its parent)
-            for row, (hyp, lp) in enumerate(zip(active, lps)):
-                top = np.argsort(-lp, kind="stable")[:beam]
-                candidates.extend((hyp.extend(int(t), float(lp[t])), row) for t in top)
-            candidates.sort(key=lambda c: -c[0].log_prob)
-            active, parents = [], []
-            for hyp, row in candidates[:beam]:
-                if hyp.finished:
-                    finished.append(hyp)
-                elif len(hyp.tokens) >= max_len:
-                    finished.append(hyp)
-                else:
-                    active.append(hyp)
-                    parents.append(row)
-            if active:
-                model.reorder(state, parents)
-    pool = finished if finished else active
-    best = max(pool, key=lambda h: h.score(length_penalty_alpha))
-    tokens = list(best.tokens)
-    return tokens[:-1] if tokens and tokens[-1] == EOS_ID else tokens
+    """Best finished hypothesis of one source under sum-log-prob / length^alpha
+    scoring; beam_decode_batch of a batch of one."""
+    return beam_decode_batch(model, [src_ids], beam, max_len, length_penalty_alpha)[0]
 
 
 def translate_corpus(model, bpe: BpeModel, sentences: list[str], max_len: int, beam: int = 1,
                      length_penalty_alpha: float = 0.0) -> list[str]:
     """BPE-encode, decode, and join subwords back into plain text, in input
-    order. Greedy decoding runs DECODE_CHUNK sentences at a time as one batch."""
+    order. Each batch holds DECODE_CHUNK // beam sentences (at least one)."""
     sources = [apply_bpe(bpe, sentence) + [EOS_ID] for sentence in sentences]
-    if beam == 1 and length_penalty_alpha == 0.0:
-        hyps = [
-            hyp
-            for lo in range(0, len(sources), DECODE_CHUNK)
-            for hyp in greedy_decode_batch(model, sources[lo : lo + DECODE_CHUNK], max_len)
-        ]
-    else:
-        hyps = [beam_search(model, ids, beam, max_len, length_penalty_alpha) for ids in sources]
+    chunk = max(1, DECODE_CHUNK // max(beam, 1))  # beam_decode_batch rejects beam < 1
+    hyps = [
+        hyp
+        for lo in range(0, len(sources), chunk)
+        for hyp in beam_decode_batch(model, sources[lo : lo + chunk], beam, max_len, length_penalty_alpha)
+    ]
     return [ids_to_text(bpe, hyp) for hyp in hyps]
 
 

@@ -8,6 +8,7 @@ boundary reproduces the remaining loss log bit for bit.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from . import kernels
 from .bpe import BpeModel
 from .checkpoint import model_from_checkpoint, save_model
 from .data import Batch, ParallelCorpus, make_batches
-from .errors import DataError, DivergenceError
+from .errors import DataError, DivergenceError, read_text
 from .evaluation import corpus_bleu, translate_corpus
 from .model import ARCH_THM, ModelConfig, Seq2SeqModel, build_model
 from .rng import Rng
@@ -65,10 +66,14 @@ class TrainState:
 
     @classmethod
     def load(cls, path) -> "TrainState":
-        with np.load(path) as zf:
-            meta = zf["meta"]
-            m = {k[2:]: zf[k] for k in zf.files if k.startswith("m/")}
-            v = {k[2:]: zf[k] for k in zf.files if k.startswith("v/")}
+        """Read a state file; a truncated or malformed one raises DataError naming it."""
+        try:
+            with np.load(path) as zf:
+                meta = zf["meta"]
+                m = {k[2:]: zf[k] for k in zf.files if k.startswith("m/")}
+                v = {k[2:]: zf[k] for k in zf.files if k.startswith("v/")}
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            raise DataError(f"{path}: not a readable training state: {exc}") from None
         return cls(
             step=int(meta[0]), epoch=int(meta[1]), best_dev_bleu=float(meta[2]), m=m, v=v
         )
@@ -224,7 +229,7 @@ def run_experiment(
 
     start_epoch = 0
     if resume and log_path.exists():
-        text = log_path.read_text(encoding="utf-8")
+        text = read_text(log_path)
         records = RunRecord.from_log(text[: text.rfind("\n") + 1])  # a torn last row does not count
         saved = (e for e in range(1, len(records.rows) + 1) if _ckpt_path(out_dir, e).exists())
         start_epoch = max((e for e in saved if _state_path(out_dir, e).exists()), default=0)

@@ -226,6 +226,65 @@ def test_translate_truncated_checkpoint_exits_two(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def _tiny_data(capsys, tmp_path):
+    """A small copy-task corpus under tmp_path/d and its BPE vocabulary."""
+    data = tmp_path / "d"
+    run_cli(capsys, "make-synth", "--seed", "3", "--out", str(data), "--vocab-size", "8",
+            "--n-train", "30", "--n-dev", "4", "--n-test", "4", "--min-len", "2", "--max-len", "5")
+    run_cli(capsys, "learn-bpe", "--src", str(data / "train.src"), "--tgt",
+            str(data / "train.tgt"), "--vocab-size", "14", "--out", str(tmp_path))
+    return data, tmp_path / "bpe.vocab"
+
+
+def test_non_utf8_input_exits_two_naming_the_file(capsys, tmp_path):
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_bytes(b"a b\n\xff c\n")
+    good.write_text("a b\nc d\n")
+    code, out, err = run_cli(capsys, "bleu", "--hyp", str(bad), "--ref", str(good))
+    assert code == 2
+    assert out == ""
+    assert f"{bad}: byte 4: not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_missing_input_file_exits_one_naming_the_file(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, _, err = run_cli(capsys, "bleu", "--hyp", str(missing), "--ref", str(missing))
+    assert code == 1
+    assert str(missing) in err
+    assert "Traceback" not in err
+
+
+def test_translate_directory_as_checkpoint_exits_two(capsys, tmp_path):
+    data, vocab = _tiny_data(capsys, tmp_path)
+    code, out, err = run_cli(
+        capsys, "translate", "--ckpt", str(data), "--bpe", str(vocab), "--src", str(data / "dev.src"),
+    )
+    assert code == 2
+    assert out == ""
+    assert str(data) in err and "Is a directory" in err
+    assert "Traceback" not in err
+
+
+def test_resume_from_truncated_state_file_exits_two(capsys, tmp_path):
+    data, vocab = _tiny_data(capsys, tmp_path)
+    run = tmp_path / "run"
+    argv = [
+        "train", "--preset", "tiny", "--seed", "1", "--quiet", "--out", str(run),
+        "--src", str(data / "train.src"), "--tgt", str(data / "train.tgt"),
+        "--dev-src", str(data / "dev.src"), "--dev-tgt", str(data / "dev.tgt"),
+        "--test-src", str(data / "test.src"), "--test-tgt", str(data / "test.tgt"),
+        "--bpe", str(vocab), "--batch-tokens", "64", "--warmup", "50",
+    ]
+    assert run_cli(capsys, *argv, "--epochs", "1")[0] == 0
+    state = run / "epoch001.state.npz"
+    state.write_bytes(state.read_bytes()[:-10])
+    code, _, err = run_cli(capsys, *argv, "--epochs", "2", "--resume")
+    assert code == 2
+    assert f"{state}: not a readable training state" in err
+    assert "Traceback" not in err
+
+
 def test_gradcheck_cli_sampled(capsys):
     code, out, _ = run_cli(capsys, "gradcheck", "--preset", "tiny", "--seed", "7", "--entries", "2")
     assert code == 0

@@ -4,17 +4,16 @@ n-gram oracle."""
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from ccn.bpe import BOS_ID, EOS_ID, learn_bpe
 from ccn.data import gen_synthetic
 from ccn.errors import DataError
 from ccn.evaluation import (
-    Hypothesis,
+    beam_decode_batch,
     beam_search,
     corpus_bleu,
     greedy_decode,
-    greedy_decode_batch,
     modified_precision,
     translate_corpus,
 )
@@ -142,18 +141,35 @@ def test_beam_rejects_bad_width():
         beam_search(TableModel(6, 0), [4], beam=0, max_len=3)
 
 
-def test_hypothesis_logprob_nonincreasing_as_tokens_append():
-    model = TableModel(vocab=6, seed=4)
-    memory = model.encode_for_decode([4])
-    hyp = Hypothesis(tokens=(), log_prob=0.0)
-    prefix = [BOS_ID]
-    for _ in range(5):
-        lp = model.next_logprobs(memory, prefix)
-        t = int(np.argmax(lp))
-        grown = hyp.extend(t, float(lp[t]))
-        assert grown.log_prob <= hyp.log_prob
-        hyp = grown
-        prefix.append(t)
+def test_beam_wider_than_the_vocabulary_matches_exhaustive_oracle():
+    # a row proposes all 4 tokens; at max_len 2 the beam keeps the best 6 of
+    # the 12 two-token paths, so it must find the optimum
+    for seed in (0, 1, 2, 3, 4):
+        model = TableModel(vocab=4, seed=seed, eos_boost=0.5)
+        want, want_score = exhaustive_best(model, [4], max_len=2)
+        got = beam_search(model, [4], beam=6, max_len=2)
+        assert got == want, (seed, got, want, want_score)
+
+
+class UniformModel(TableModel):
+    """Every token equally likely: every comparison is a tie."""
+
+    def next_logprobs(self, memory, prefix):
+        return np.full(self.vocab, -np.log(self.vocab))
+
+
+def test_ties_go_to_the_lower_token_and_the_first_finished():
+    model = UniformModel(vocab=5, seed=0)
+    # (0, 0) and (0, 1) finish together with equal scores
+    assert beam_search(model, [4], beam=2, max_len=2) == [0, 0]
+    # EOS alone scores -log 5 / 1, the same as (0, 0) and (0, EOS) at alpha 1
+    assert beam_search(model, [4], beam=3, max_len=2, length_penalty_alpha=1.0) == []
+
+
+def test_zero_max_len_gives_empty_output():
+    model = TableModel(vocab=6, seed=5, eos_boost=-100.0)
+    assert greedy_decode(model, [4], max_len=0) == []
+    assert beam_search(model, [4], beam=3, max_len=0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +207,22 @@ def recompute_greedy(model, src, max_len):
     return prefix[1:]
 
 
-def recompute_beam(model, src, beam, max_len):
+@dataclass(frozen=True)
+class Hypothesis:
+    tokens: tuple[int, ...]
+    log_prob: float
+    finished: bool = False
+
+    def extend(self, token: int, lp: float) -> "Hypothesis":
+        return Hypothesis(self.tokens + (token,), self.log_prob + lp, finished=token == EOS_ID)
+
+    def score(self, alpha: float) -> float:
+        if alpha == 0.0:
+            return self.log_prob
+        return self.log_prob / max(len(self.tokens), 1) ** alpha
+
+
+def recompute_beam(model, src, beam, max_len, length_penalty_alpha=0.0):
     """Beam search by full recompute, one hypothesis at a time."""
     with no_grad():
         memory = _memory(model, src)
@@ -208,7 +239,7 @@ def recompute_beam(model, src, beam, max_len):
             active = []
             for hyp in candidates[:beam]:
                 (finished if hyp.finished or len(hyp.tokens) >= max_len else active).append(hyp)
-    tokens = list(max(finished or active, key=lambda h: h.log_prob).tokens)
+    tokens = list(max(finished or active, key=lambda h: h.score(length_penalty_alpha)).tokens)
     return tokens[:-1] if tokens and tokens[-1] == EOS_ID else tokens
 
 
@@ -226,7 +257,7 @@ REAL_MODELS = [
 @pytest.mark.parametrize("arch, n_blocks, seed", REAL_MODELS)
 def test_batched_greedy_equals_per_sentence_and_full_recompute(arch, n_blocks, seed):
     model = _real_model(arch, n_blocks, seed)
-    batched = greedy_decode_batch(model, REAL_SOURCES, 10)
+    batched = beam_decode_batch(model, REAL_SOURCES, 1, 10)
     assert batched == [greedy_decode(model, s, 10) for s in REAL_SOURCES]
     assert batched == [recompute_greedy(model, s, 10) for s in REAL_SOURCES]
     if n_blocks:  # without blocks the output ignores the source
@@ -238,6 +269,15 @@ def test_cached_beam_search_equals_full_recompute(arch, n_blocks, seed):
     model = _real_model(arch, n_blocks, seed)
     for src in REAL_SOURCES:
         assert beam_search(model, src, 3, 8) == recompute_beam(model, src, 3, 8), src
+
+
+@pytest.mark.parametrize("arch, n_blocks, seed", REAL_MODELS)
+def test_batched_beam_search_equals_full_recompute(arch, n_blocks, seed):
+    model = _real_model(arch, n_blocks, seed)
+    for beam in (2, 3):
+        for alpha in (0.0, 0.7):
+            want = [recompute_beam(model, s, beam, 8, alpha) for s in REAL_SOURCES]
+            assert beam_decode_batch(model, REAL_SOURCES, beam, 8, alpha) == want, (beam, alpha)
 
 
 def test_real_model_rejects_empty_source():
@@ -252,6 +292,8 @@ def test_translate_empty_corpus_is_empty():
     model = build_model(replace(preset("tiny"), vocab_size=bpe.vocab_size), Rng(12))
     assert translate_corpus(model, bpe, [], max_len=5) == []
     assert translate_corpus(model, bpe, [], max_len=5, beam=2) == []
+    with pytest.raises(ValueError, match="beam width"):
+        translate_corpus(model, bpe, ["a b"], max_len=5, beam=0)
 
 
 # ---------------------------------------------------------------------------

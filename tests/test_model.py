@@ -378,6 +378,14 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_empty_name_record_rejected(tmp_path):
+    # 12 zero bytes parse as a whole record: name length 0, rank 0, one float
+    path, blob, _ = _saved_blob(tmp_path)
+    path.write_bytes(blob + bytes(12))
+    with pytest.raises(DataError, match=rf"{path.name}: byte {len(blob)}: record has an empty parameter name"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_missing_config_key_rejected(tmp_path):
     path, blob, _ = _saved_blob(tmp_path)
     path.write_bytes(blob.replace(b"n_heads=2\n", b""))
