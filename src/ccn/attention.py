@@ -18,7 +18,6 @@ from .errors import DataError, ShapeError
 from .tensor import (
     Tensor,
     apply_attention_mask,
-    concat,
     matmul,
     reshape,
     scale,
@@ -86,19 +85,10 @@ def padding_mask(n_q: int, key_is_pad: np.ndarray) -> AttentionMask:
     return AttentionMask(np.broadcast_to(key_is_pad[:, None, :], (b, n_q, n_k)))
 
 
-def combine_masks(*masks: AttentionMask | None) -> AttentionMask | None:
-    live = [m for m in masks if m is not None]
-    if not live:
-        return None
-    out = live[0].disallowed
-    for m in live[1:]:
-        out = out | m.disallowed
-    return AttentionMask(out)
-
-
 @dataclass
 class AttentionHeadParams:
-    """Per-head projection weights (bias-free)."""
+    """One head's projection weights (bias-free): the input of the
+    ``scaled_dot_attention`` oracle."""
 
     w_q: Tensor
     w_k: Tensor
@@ -107,8 +97,21 @@ class AttentionHeadParams:
 
 @dataclass
 class MultiHeadParams:
-    heads: list[AttentionHeadParams]
+    """One (d, n_heads * width) weight per gate, head j in the j-th block of
+    columns, and the output projection; shapes are checked once, here."""
+
+    w_q: Tensor
+    w_k: Tensor
+    w_v: Tensor
     w_o: Tensor
+    n_heads: int
+
+    def __post_init__(self):
+        for gate, w in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v)):
+            if self.n_heads < 1 or w.data.shape[-1] % self.n_heads:
+                raise ShapeError(f"{gate} width {w.data.shape[-1]} does not split into {self.n_heads} heads")
+        if self.w_o.data.shape[-2] != self.w_v.data.shape[-1]:
+            raise ShapeError(f"w_v width {self.w_v.data.shape[-1]} does not match w_o {self.w_o.data.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +175,12 @@ def scaled_dot_attention(
     return matmul(softmax_rows(scores), vh)
 
 
-def _head_dims(params: MultiHeadParams) -> tuple[int, int]:
-    """(number of heads, width of one head's values); the heads must agree on shapes."""
-    heads = params.heads
-    shapes = {tuple(w.data.shape for w in (h.w_q, h.w_k, h.w_v)) for h in heads}
-    if len(shapes) != 1:
-        raise ShapeError(f"heads disagree on (w_q, w_k, w_v) shapes: {sorted(shapes)}")
-    n_heads, d_v = len(heads), heads[0].w_v.data.shape[-1]
-    if n_heads * d_v != params.w_o.data.shape[-2]:
-        raise ShapeError(
-            f"head widths sum to {n_heads * d_v} but output projection expects {params.w_o.data.shape[-2]}"
-        )
-    return n_heads, d_v
-
-
 def split_heads(x: Tensor, params: MultiHeadParams, gate: str) -> Tensor:
-    """(..., n, d) -> (..., h, n, width): one projection through the
-    concatenated per-head ``gate`` weights ("w_q", "w_k" or "w_v"), heads on
-    their own axis."""
-    n_heads, _ = _head_dims(params)
-    w = concat([getattr(h, gate) for h in params.heads], axis=-1)
+    """(..., n, d) -> (..., h, n, width): one projection through the ``gate``
+    weight ("w_q", "w_k" or "w_v"), heads on their own axis."""
+    w = getattr(params, gate)
     y = matmul(x, w)
-    y = reshape(y, y.data.shape[:-1] + (n_heads, w.data.shape[-1] // n_heads))
+    y = reshape(y, y.data.shape[:-1] + (params.n_heads, w.data.shape[-1] // params.n_heads))
     return transpose(y, -3, -2)
 
 
@@ -206,7 +193,6 @@ def attend_heads(
     The keys and values may be projected once and reused, as incremental
     decoding does with the encoder memory and the earlier target positions.
     """
-    n_heads, d_v = _head_dims(params)
     scores = matmul(qh, transpose(kh))
     scores = scale(scores, 1.0 / np.sqrt(kh.data.shape[-1]))
     if mask is not None:
@@ -215,7 +201,7 @@ def attend_heads(
             disallowed = disallowed[..., None, :, :]
         scores = apply_attention_mask(scores, disallowed)
     out = transpose(matmul(softmax_rows(scores), vh), -3, -2)
-    return matmul(reshape(out, out.data.shape[:-2] + (n_heads * d_v,)), params.w_o)
+    return matmul(reshape(out, out.data.shape[:-2] + (params.w_o.data.shape[-2],)), params.w_o)
 
 
 def multi_head(
@@ -227,8 +213,8 @@ def multi_head(
 ) -> Tensor:
     """All heads as one attention over a head axis, merged and projected by w_o.
 
-    The per-head projections are concatenated into one weight per gate, so
-    each gate is one GEMM; the result equals concatenating the per-head
+    Each gate is one weight holding every head's columns, so each gate is
+    one GEMM; the result equals concatenating the per-head
     ``scaled_dot_attention`` outputs along features (Vaswani et al. 2017,
     section 3.2.2).
     """

@@ -148,5 +148,5 @@ def model_from_checkpoint(path, dtype=np.float32) -> tuple[Seq2SeqModel, int]:
             raise DataError(
                 f"checkpoint shape mismatch for {name}: {stored.shape} vs {p.data.shape}"
             )
-        p.data = stored.astype(dtype)
+        p.data[...] = stored
     return model, step

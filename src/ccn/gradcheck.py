@@ -75,8 +75,7 @@ def finite_diff_check(
                 f"loss function is not deterministic: {base1!r} vs {base2!r} on repeat evaluation"
             )
         for name, p in params.items():
-            flat = p.data.reshape(-1)
-            n = flat.size
+            n = p.data.size
             if max_entries_per_param is not None and n > max_entries_per_param:
                 idx = np.unique(rng.integers(n, (max_entries_per_param,)))
             else:
@@ -84,12 +83,14 @@ def finite_diff_check(
             worst = 0.0
             a_flat = analytic[name].reshape(-1)
             for i in idx:
-                orig = flat[i]
-                flat[i] = orig + h
+                # an index, not a reshaped copy: p.data may be a view of a fused leaf
+                at = np.unravel_index(i, p.data.shape)
+                orig = p.data[at]
+                p.data[at] = orig + h
                 f_plus = float(f().data)
-                flat[i] = orig - h
+                p.data[at] = orig - h
                 f_minus = float(f().data)
-                flat[i] = orig
+                p.data[at] = orig
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 a = float(a_flat[i])
                 report.checked_entries += 1

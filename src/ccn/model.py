@@ -33,7 +33,6 @@ import numpy as np
 from .attention import (
     LEFT,
     RIGHT,
-    AttentionHeadParams,
     MultiHeadParams,
     attend_heads,
     causal_mask,
@@ -129,7 +128,9 @@ def preset(name: str, **overrides) -> ModelConfig:
 
 
 class ParamStore:
-    """Creates named parameters in a fixed order (the checkpoint order)."""
+    """Creates named parameters in a fixed order (the checkpoint order).
+    A parameter's ``.data`` and ``.grad`` may be views of a fused leaf
+    (``fuse``): parameter arrays are written in place, never rebound."""
 
     def __init__(self, rng: Rng, dtype):
         self.rng = rng
@@ -156,6 +157,17 @@ class ParamStore:
 
     def ones(self, name: str, shape) -> Tensor:
         return self._register(name, np.ones(shape))
+
+    def fuse(self, name: str, parts: list[Tensor]) -> Tensor:
+        """One leaf holding ``parts`` side by side along the last axis; each
+        part's ``.data`` and ``.grad`` become views of its columns."""
+        leaf = parameter(name, np.concatenate([p.data for p in parts], axis=-1))
+        lo = 0
+        for p in parts:
+            cols = slice(lo, lo + p.data.shape[-1])
+            p.data, p.grad = leaf.data[..., cols], leaf.grad[..., cols]
+            lo = cols.stop
+        return leaf
 
 
 @dataclass
@@ -201,16 +213,11 @@ def _make_attn_ffn(store: ParamStore, prefix: str, attn: str, d: int, n_heads: i
 
 
 def _make_mha(store: ParamStore, prefix: str, d: int, n_heads: int) -> MultiHeadParams:
-    d_k = d // n_heads
-    heads = [
-        AttentionHeadParams(
-            w_q=store.xavier(f"{prefix}.h{j}.wq", d, d_k),
-            w_k=store.xavier(f"{prefix}.h{j}.wk", d, d_k),
-            w_v=store.xavier(f"{prefix}.h{j}.wv", d, d_k),
-        )
-        for j in range(n_heads)
-    ]
-    return MultiHeadParams(heads=heads, w_o=store.xavier(f"{prefix}.wo", d, d))
+    """Per-head parameters ``{prefix}.h{j}.wq/wk/wv`` are column views of
+    one weight per gate."""
+    heads = [[store.xavier(f"{prefix}.h{j}.w{g}", d, d // n_heads) for g in "qkv"] for j in range(n_heads)]
+    w_q, w_k, w_v = (store.fuse(f"{prefix}.w{g}", [h[i] for h in heads]) for i, g in enumerate("qkv"))
+    return MultiHeadParams(w_q, w_k, w_v, w_o=store.xavier(f"{prefix}.wo", d, d), n_heads=n_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -399,28 +406,29 @@ class Seq2SeqModel:
         cross = block[branch]["cross"]
         return split_heads(mem, cross, "w_k"), split_heads(mem, cross, "w_v")
 
-    def _decode_branch(self, block, branch: str, s: Tensor, mem, cross_mask, training, rng) -> Tensor:
-        """One decoder branch: cross-attention into a memory, then its own FFN.
+    def _cross_kv(self, memory: EncoderMemory) -> list[list[tuple[Tensor, Tensor]]]:
+        """Every decoder block's cross-attention (keys, values) per branch."""
+        pairs = list(zip(self.branches, (memory.mem_left, memory.mem_right)))
+        return [[self._memory_kv(block, b, mem) for b, mem in pairs] for block in self.dec_blocks]
 
-        ``mem`` is the branch's memory Tensor, or its (keys, values) from
-        ``_memory_kv``.
-        """
+    def _decode_branch(self, block, branch: str, s: Tensor, kv, cross_mask, training, rng) -> Tensor:
+        """One decoder branch: cross-attention into the (keys, values) of its
+        memory, then its own FFN."""
         sub = block[branch]
-        kh, vh = self._memory_kv(block, branch, mem) if isinstance(mem, Tensor) else mem
-        attn = attend_heads(split_heads(s, sub["cross"], "w_q"), kh, vh, sub["cross"], cross_mask)
+        attn = attend_heads(split_heads(s, sub["cross"], "w_q"), *kv, sub["cross"], cross_mask)
         c = self._sublayer(s, attn, sub["cross_norm"], training, rng)
         return self._ffn_sublayer(c, sub, training, rng)
 
-    def _decoder_stack(self, t: Tensor, mems, past, self_mask, cross_mask, training, rng):
+    def _decoder_stack(self, t: Tensor, cross, past, self_mask, cross_mask, training, rng):
         """Run the decoder blocks over the target positions ``t``.
 
-        ``mems[i]`` holds block i's memory per branch (see ``_decode_branch``);
+        ``cross[i]`` holds block i's cross-attention (keys, values) per branch;
         ``past[i]`` is block i's self-attention (keys, values) of the
         positions before ``t``, or None. Returns the final hidden states and
         every block's self-attention (keys, values) through ``t``.
         """
         present = []
-        for block, block_mems, block_past in zip(self.dec_blocks, mems, past):
+        for block, block_cross, block_past in zip(self.dec_blocks, cross, past):
             sa = block["self_attn"]
             kh, vh = split_heads(t, sa, "w_k"), split_heads(t, sa, "w_v")
             if block_past is not None:
@@ -429,8 +437,8 @@ class Seq2SeqModel:
             attn = attend_heads(split_heads(t, sa, "w_q"), kh, vh, sa, self_mask)
             s = self._sublayer(t, attn, block["self_norm"], training, rng)
             outs = [
-                self._decode_branch(block, b, s, mem, cross_mask, training, rng)
-                for b, mem in zip(self.branches, block_mems)
+                self._decode_branch(block, b, s, kv, cross_mask, training, rng)
+                for b, kv in zip(self.branches, block_cross)
             ]
             if len(outs) == 1:
                 t = outs[0]
@@ -447,10 +455,9 @@ class Seq2SeqModel:
         m = tgt_in.shape[-1]
         self._check_len(m, "target")
         t = self.embed_tokens(tgt_in, training=training, rng=rng)
-        n = len(self.dec_blocks)
-        mems = [(memory.mem_left, memory.mem_right)] * n
+        cross, past = self._cross_kv(memory), [None] * len(self.dec_blocks)
         t, _ = self._decoder_stack(
-            t, mems, [None] * n, causal_mask(m), padding_mask(m, memory.src_pad), training, rng
+            t, cross, past, causal_mask(m), padding_mask(m, memory.src_pad), training, rng
         )
         return self.project_vocab(t)
 
@@ -492,11 +499,7 @@ class Seq2SeqModel:
         with no_grad():
             # every branch reads the clean source at inference
             memory = self.encode(*[ids] * len(self.branches))
-            mems = (memory.mem_left, memory.mem_right)
-            cross = [
-                [self._memory_kv(block, b, mem) for b, mem in zip(self.branches, mems)]
-                for block in self.dec_blocks
-            ]
+            cross = self._cross_kv(memory)
         return DecodeState(memory.src_pad, cross, [None] * len(self.dec_blocks))
 
     def step_logprobs(self, state: DecodeState, tokens) -> np.ndarray:

@@ -59,7 +59,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        """Zero the gradient in place (it may be a view; see ``model.ParamStore``)."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0)
 
     def backward(self):
         """Reverse-mode sweep from a scalar output."""

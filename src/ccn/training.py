@@ -72,7 +72,8 @@ class TrainState:
                 meta = zf["meta"]
                 m = {k[2:]: zf[k] for k in zf.files if k.startswith("m/")}
                 v = {k[2:]: zf[k] for k in zf.files if k.startswith("v/")}
-        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError, RuntimeError) as exc:
+            # some corrupt zip headers raise OSError or NotImplementedError (a RuntimeError)
             raise DataError(f"{path}: not a readable training state: {exc}") from None
         return cls(
             step=int(meta[0]), epoch=int(meta[1]), best_dev_bleu=float(meta[2]), m=m, v=v

@@ -7,6 +7,19 @@ the library paths they certify.
 import math
 from collections import Counter
 
+import numpy as np
+
+from ccn.attention import MultiHeadParams
+from ccn.tensor import Tensor
+
+
+def fuse_heads(heads, w_o, leaf=Tensor):
+    """MultiHeadParams whose gate weights hold the per-head weights of
+    ``heads`` (AttentionHeadParams) side by side, head j in the j-th block of
+    columns; ``leaf`` wraps each fused array."""
+    gates = [np.concatenate([getattr(h, g).data for h in heads], axis=-1) for g in ("w_q", "w_k", "w_v")]
+    return MultiHeadParams(*map(leaf, gates), w_o=w_o, n_heads=len(heads))
+
 
 def bleu_oracle(hyps, refs):
     """By-the-definition corpus BLEU-4 with clipped counts and brevity penalty."""

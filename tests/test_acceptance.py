@@ -15,7 +15,6 @@ from ccn.attention import (
     LEFT,
     RIGHT,
     AttentionHeadParams,
-    MultiHeadParams,
     coattention,
     multi_head,
     nonlocal_op,
@@ -39,7 +38,7 @@ from ccn.training import (
     train_step,
 )
 
-from oracles import bleu_oracle
+from oracles import bleu_oracle, fuse_heads
 
 
 def _report(n: int, label: str, detail: str = ""):
@@ -56,7 +55,7 @@ def _mha(rng, d, n_heads=1):
         )
         for _ in range(n_heads)
     ]
-    return MultiHeadParams(heads=heads, w_o=T.Tensor(rng.normal(size=(d, d))))
+    return fuse_heads(heads, w_o=T.Tensor(rng.normal(size=(d, d))))
 
 
 def test_acceptance_1_degradation_identity():

@@ -23,6 +23,8 @@ from ccn.attention import (
 from ccn.errors import DataError, MaskError, ShapeError
 from ccn.gradcheck import finite_diff_check
 
+from oracles import fuse_heads
+
 
 def _head(rng, d, d_k=None, d_v=None):
     d_k = d_k or d
@@ -37,7 +39,7 @@ def _head(rng, d, d_k=None, d_v=None):
 def _mha(rng, d, n_heads):
     d_k = d // n_heads
     heads = [_head(rng, d, d_k, d_k) for _ in range(n_heads)]
-    return MultiHeadParams(heads=heads, w_o=T.Tensor(rng.normal(size=(d, d))))
+    return fuse_heads(heads, w_o=T.Tensor(rng.normal(size=(d, d))))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,7 @@ def test_multi_head_single_head_identity_projection():
     d = 4
     x = T.Tensor(rng.normal(size=(5, d)))
     head = _head(rng, d)
-    params = MultiHeadParams(heads=[head], w_o=T.Tensor(np.eye(d)))
+    params = fuse_heads([head], w_o=T.Tensor(np.eye(d)))
     got = multi_head(x, x, x, params).data
     want = scaled_dot_attention(x, x, x, head).data
     assert np.allclose(got, want, atol=1e-14)
@@ -223,16 +225,16 @@ def test_multi_head_output_shape():
         assert multi_head(x, x, x, params).data.shape == (3, d)
 
 
-def test_multi_head_head_width_mismatch():
+def test_multi_head_output_projection_rows_must_match_value_width():
     rng = np.random.default_rng(12)
-    heads = [_head(rng, 8, 4, 4), _head(rng, 8, 4, 4)]
-    params = MultiHeadParams(heads=heads, w_o=T.Tensor(rng.normal(size=(6, 8))))
-    x = T.Tensor(rng.normal(size=(3, 8)))
-    with pytest.raises(ShapeError):
-        multi_head(x, x, x, params)
+    w_q, w_k, w_v = (T.Tensor(rng.normal(size=(8, 8))) for _ in range(3))
+    with pytest.raises(ShapeError, match="w_v width 8"):
+        MultiHeadParams(w_q, w_k, w_v, w_o=T.Tensor(rng.normal(size=(6, 8))), n_heads=2)
 
 
 def _trainable_mha(rng, d, n_heads):
+    """Fused trainable params, and per-head leaves holding the same values
+    (the input of the per-head oracle)."""
     d_k = d // n_heads
     heads = [
         AttentionHeadParams(
@@ -240,13 +242,14 @@ def _trainable_mha(rng, d, n_heads):
         )
         for j in range(n_heads)
     ]
-    return MultiHeadParams(heads=heads, w_o=T.parameter("wo", rng.normal(size=(d, d))))
+    w_o = T.parameter("wo", rng.normal(size=(d, d)))
+    return fuse_heads(heads, w_o, leaf=lambda a: T.parameter("fused", a)), heads
 
 
-def _per_head_oracle(q, k, v, params, mask):
+def _per_head_oracle(q, k, v, heads, w_o, mask):
     """Concatenated single-head attentions, projected by w_o."""
-    outs = [scaled_dot_attention(q, k, v, h, mask=mask) for h in params.heads]
-    return T.matmul(T.concat(outs, axis=-1), params.w_o)
+    outs = [scaled_dot_attention(q, k, v, h, mask=mask) for h in heads]
+    return T.matmul(T.concat(outs, axis=-1), w_o)
 
 
 def _value_and_grads(fn, leaves, upstream):
@@ -262,7 +265,7 @@ def _value_and_grads(fn, leaves, upstream):
 def test_multi_head_matches_per_head_oracle_values_and_gradients(batched, mask_kind):
     rng = np.random.default_rng(20)
     d, n_heads, n_q, n_k, b = 12, 3, 4, 5, 2
-    params = _trainable_mha(rng, d, n_heads)
+    params, heads = _trainable_mha(rng, d, n_heads)
     lead = (b,) if batched else ()
     if mask_kind == "causal":
         n_k = n_q  # self-attention
@@ -278,17 +281,24 @@ def test_multi_head_matches_per_head_oracle_values_and_gradients(batched, mask_k
             key_is_pad[0, -2:] = False  # rows differ: a 3-d mask
         mask = padding_mask(n_q, key_is_pad)
         assert mask.disallowed.ndim == (3 if batched else 2)
-    leaves = [t for h in params.heads for t in (h.w_q, h.w_k, h.w_v)] + [params.w_o, q]
+    shared = [params.w_o, q]
     if kv is not q:
-        leaves.append(kv)
+        shared.append(kv)
+    head_leaves = [t for h in heads for t in (h.w_q, h.w_k, h.w_v)]
     upstream = rng.normal(size=lead + (n_q, d))
-    got, got_grads = _value_and_grads(lambda: multi_head(q, kv, kv, params, mask), leaves, upstream)
+    fused = [params.w_q, params.w_k, params.w_v]
+    got, got_grads = _value_and_grads(lambda: multi_head(q, kv, kv, params, mask), fused + shared, upstream)
     want, want_grads = _value_and_grads(
-        lambda: _per_head_oracle(q, kv, kv, params, mask), leaves, upstream
+        lambda: _per_head_oracle(q, kv, kv, heads, params.w_o, mask), head_leaves + shared, upstream
     )
+    # head j's gradient is the j-th column block of each fused gradient
+    d_k = d // n_heads
+    per_head = [g[:, j * d_k : (j + 1) * d_k] for j in range(n_heads) for g in got_grads[:3]]
+    got_grads = per_head + got_grads[3:]
+    leaves = head_leaves + shared
     assert got.shape == want.shape == lead + (n_q, d)
     assert np.abs(got - want).max() < 1e-10
-    for leaf, g_got, g_want in zip(leaves, got_grads, want_grads):
+    for leaf, g_got, g_want in zip(leaves, got_grads, want_grads, strict=True):
         assert np.abs(g_got - g_want).max() < 1e-10, leaf.name
 
 
@@ -310,19 +320,18 @@ def test_multi_head_tape_ops_do_not_grow_with_heads():
     d = 16
     counts = []
     for n_heads in (1, 2, 4, 8):
-        params = _trainable_mha(rng, d, n_heads)
+        params, _ = _trainable_mha(rng, d, n_heads)
         x = T.parameter("x", rng.normal(size=(2, 5, d)))
         counts.append(_tape_ops(multi_head(x, x, x, params, causal_mask(5))))
     assert len(set(counts)) == 1, counts
 
 
-def test_multi_head_unequal_head_widths_raise():
+def test_multi_head_gate_width_not_split_by_heads_raises():
     rng = np.random.default_rng(22)
-    heads = [_head(rng, 8, 4, 4), _head(rng, 8, 2, 4)]
-    params = MultiHeadParams(heads=heads, w_o=T.Tensor(rng.normal(size=(8, 8))))
-    x = T.Tensor(rng.normal(size=(3, 8)))
-    with pytest.raises(ShapeError, match="w_q"):
-        multi_head(x, x, x, params)
+    w_q, w_k = (T.Tensor(rng.normal(size=(8, 6))) for _ in range(2))
+    w_v, w_o = (T.Tensor(rng.normal(size=(8, 8))) for _ in range(2))
+    with pytest.raises(ShapeError, match="w_q width 6 does not split into 4 heads"):
+        MultiHeadParams(w_q, w_k, w_v, w_o, n_heads=4)
 
 
 def test_multi_head_invariant_under_joint_kv_permutation():
@@ -377,8 +386,8 @@ def test_coattention_single_position_is_weightless():
     x_r = T.Tensor(rng.normal(size=(1, d)))
     rl, rr = crossed_routing()
     y_l, y_r = coattention(x_l, x_r, rl, rr, left_params, right_params)
-    want_l = (x_l.data @ left_params.heads[0].w_v.data) @ left_params.w_o.data
-    want_r = (x_r.data @ right_params.heads[0].w_v.data) @ right_params.w_o.data
+    want_l = (x_l.data @ left_params.w_v.data) @ left_params.w_o.data
+    want_r = (x_r.data @ right_params.w_v.data) @ right_params.w_o.data
     assert np.allclose(y_l.data, want_l, atol=1e-12)
     assert np.allclose(y_r.data, want_r, atol=1e-12)
 
@@ -422,19 +431,10 @@ def test_coattention_gradients_pass_finite_differences():
     params = {}
     mhas = []
     for side in ("left", "right"):
-        head = AttentionHeadParams(
-            w_q=T.parameter(f"{side}.wq", rng.normal(size=(d, d))),
-            w_k=T.parameter(f"{side}.wk", rng.normal(size=(d, d))),
-            w_v=T.parameter(f"{side}.wv", rng.normal(size=(d, d))),
-        )
-        w_o = T.parameter(f"{side}.wo", rng.normal(size=(d, d)))
-        mhas.append(MultiHeadParams(heads=[head], w_o=w_o))
-        params |= {
-            f"{side}.wq": head.w_q,
-            f"{side}.wk": head.w_k,
-            f"{side}.wv": head.w_v,
-            f"{side}.wo": w_o,
-        }
+        names = [f"{side}.{w}" for w in ("wq", "wk", "wv", "wo")]
+        gates = {name: T.parameter(name, rng.normal(size=(d, d))) for name in names}
+        mhas.append(MultiHeadParams(*gates.values(), n_heads=1))
+        params |= gates
     params |= {"x_l": x_l, "x_r": x_r}
     rl, rr = crossed_routing()
 

@@ -1,6 +1,7 @@
 """Model contracts: shapes, symmetries, causality, determinism, checkpoints,
 parameter counting, positional encodings."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from ccn.model import (
     sinusoidal_positions,
 )
 from ccn.rng import Rng
-from ccn.tensor import no_grad
+from ccn.tensor import mean_all, no_grad
 
 
 def tiny_cfg(arch="thm", **over):
@@ -41,7 +42,7 @@ def tiny_cfg(arch="thm", **over):
 
 def _copy_params(dst, src_values: dict[str, np.ndarray], mapping: dict[str, str]):
     for dst_name, src_name in mapping.items():
-        dst.params[dst_name].data = src_values[src_name].copy()
+        dst.params[dst_name].data[...] = src_values[src_name]
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +145,10 @@ def test_decoder_branch_halves_equal_with_tied_params_and_memories():
     s = model.embed_tokens(np.array([[1, 5, 6]]))
     cross_mask = padding_mask(3, memory.src_pad)
     block = model.dec_blocks[0]
-    left = model._decode_branch(block, "left", s, mem, cross_mask, False, None)
-    right = model._decode_branch(block, "right", s, mem, cross_mask, False, None)
+    left, right = (
+        model._decode_branch(block, b, s, model._memory_kv(block, b, mem), cross_mask, False, None)
+        for b in ("left", "right")
+    )
     assert np.array_equal(left.data, right.data)
 
 
@@ -306,6 +309,78 @@ def test_start_decode_rejects_an_empty_source():
     model = build_model(tiny_cfg(), Rng(25))
     with pytest.raises(DataError, match="cannot decode an empty source"):
         model.start_decode([[5, 2], []])
+
+
+# ---------------------------------------------------------------------------
+# fused attention weights: per-head parameters are column views
+# ---------------------------------------------------------------------------
+
+
+def _attention_sublayers(model):
+    """(parameter prefix, MultiHeadParams) of every attention sublayer."""
+    for i, block in enumerate(model.enc_blocks):
+        for b in model.branches:
+            yield ".".join(filter(None, ("enc", str(i), b, "attn"))), block[b]["attn"]
+    for i, block in enumerate(model.dec_blocks):
+        yield f"dec.{i}.self_attn", block["self_attn"]
+        for b in model.branches:
+            yield ".".join(filter(None, ("dec", str(i), b, "cross"))), block[b]["cross"]
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+def test_per_head_parameters_share_memory_with_their_gate(arch):
+    model = build_model(tiny_cfg(arch), Rng(25))
+    sublayers = dict(_attention_sublayers(model))
+    per_head = [n for n in model.params if re.search(r"\.h\d+\.w[qkv]$", n)]
+    assert len(per_head) == len(sublayers) * 2 * 3
+    d_k = 16 // 2
+    for name in per_head:
+        prefix, head, gate = name.rsplit(".", 2)
+        fused = getattr(sublayers[prefix], f"w_{gate[1]}")
+        cols = slice(int(head[1:]) * d_k, (int(head[1:]) + 1) * d_k)
+        p = model.params[name]
+        assert np.shares_memory(p.data, fused.data) and np.shares_memory(p.grad, fused.grad), name
+        assert np.array_equal(p.data, fused.data[:, cols]), name
+
+
+def test_in_place_write_through_a_per_head_name_changes_encode():
+    model = build_model(tiny_cfg(), Rng(26), dtype=np.float64)
+    src = np.array([[5, 6, 7, 2]])
+    with no_grad():
+        before = model.encode(src, src)
+        model.params["enc.0.left.attn.h1.wv"].data[...] *= 2.0
+        after = model.encode(src, src)
+    assert not np.allclose(after.mem_left.data, before.mem_left.data)
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+def test_zero_grads_zeroes_every_fused_gradient(arch):
+    model = build_model(tiny_cfg(arch), Rng(27), dtype=np.float64)
+    src = np.array([[5, 6, 7, 2]])
+    memory = model.encode(*[src] * len(model.branches))
+    mean_all(model.decode(memory, np.array([[1, 5, 6]]))).backward()
+    fused = [getattr(mha, g) for _, mha in _attention_sublayers(model) for g in ("w_q", "w_k", "w_v")]
+    assert all(np.any(w.grad) for w in fused)
+    model.zero_grads()
+    assert not any(np.any(w.grad) for w in fused)
+
+
+@pytest.mark.parametrize("arch, merges", [("thm", 2), ("transformer", 0)])
+def test_the_only_concat_in_a_training_step_is_the_decoder_merge(arch, merges):
+    # the gates are projected by their fused weights: no per-call concat
+    corpus = gen_synthetic("copy", 12, 4, (3, 5), Rng(0))
+    bpe = learn_bpe(corpus.lines(), 16)
+    model = build_model(tiny_cfg(arch, dropout_p=0.1, vocab_size=bpe.vocab_size), Rng(28))
+    batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
+    seen, stack, concats = set(), [model.loss_on_batch(batch, training=True, rng=Rng(13))], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            backward = node._backward
+            concats += backward is not None and backward.__qualname__.startswith("concat.")
+            stack.extend(node._parents)
+    assert concats == merges
 
 
 # ---------------------------------------------------------------------------

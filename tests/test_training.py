@@ -273,6 +273,25 @@ def test_resume_equivalence_bitwise(tmp_path):
         assert (part_dir / "loss.log").read_text() == full_log, f"stop={stop}"
 
 
+@pytest.mark.parametrize("mask", [0xFF, 0x01])
+def test_state_file_with_any_byte_flipped_loads_or_raises_data_error(tmp_path, mask):
+    """zipfile raises NotImplementedError, OSError or RuntimeError on some
+    corrupt headers; TrainState.load reports each as a DataError naming the file."""
+    path = tmp_path / "epoch001.state.npz"
+    ones = np.ones((2, 3), dtype=np.float32)
+    TrainState(step=3, epoch=1, best_dev_bleu=2.5, m={"w": ones}, v={"w": 2 * ones}).save(path)
+    blob = path.read_bytes()
+    loaded = 0
+    for i in range(len(blob)):
+        path.write_bytes(blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1 :])
+        try:
+            TrainState.load(path)
+            loaded += 1
+        except DataError as exc:
+            assert str(path) in str(exc)
+    assert 0 < loaded < len(blob)
+
+
 def _acceptance_11_setup():
     """The data, config and hyperparameters of acceptance 11."""
     rng = Rng(111)

@@ -1,0 +1,126 @@
+"""Print digests of the numbers a ccn checkout computes, to check that a
+refactor is bit-identical to the commit before it.
+
+    PYTHONPATH=OLD/src python tools/fingerprint.py OLD_OUT --load OLD_OUT > old.txt
+    PYTHONPATH=NEW/src python tools/fingerprint.py NEW_OUT --load OLD_OUT > new.txt
+    diff old.txt new.txt
+
+For THM and the transformer at 0, 1 and 2 blocks, in float32 and float64,
+with dropout 0.1, token swap 0.5 and label smoothing 0.1, it prints the
+digest of: the initial parameters; the losses of 4 train steps; the
+parameters, gradients and Adam moments after them; greedy and beam-3
+decodes; cached-step and full-recompute log-probabilities; and the bytes of
+the checkpoint it writes to OUT/ckpt. With --load DIR it also decodes with
+every checkpoint DIR/ckpt holds. Last, it runs 3 epochs of run_experiment
+on acceptance 7's copy-task data and prints the digest of the loss.log.
+Every digest covers dtypes, shapes and raw bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from ccn.bpe import learn_bpe
+from ccn.checkpoint import model_from_checkpoint, save_model
+from ccn.data import gen_synthetic, make_batches
+from ccn.evaluation import beam_decode_batch
+from ccn.model import ModelConfig, build_model, preset
+from ccn.rng import Rng
+from ccn.tensor import no_grad
+from ccn.training import DataBundle, TrainParams, TrainState, run_experiment, train_step
+
+SOURCES = [[5, 6, 7, 8, 2], [9, 2], [10, 11, 12, 2]]
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def decode_digests(model) -> dict[str, str]:
+    ids = np.array([[5, 6, 7, 8, 2]])
+    tokens = np.array([1, 5, 6, 7, 8])
+    with no_grad():
+        memory = model.encode(*[ids] * len(model.branches))
+        full = model.decode(memory, tokens[None, :]).data
+        state = model.start_decode(SOURCES)
+        steps = [model.step_logprobs(state, [t] * len(SOURCES)) for t in tokens]
+    return {
+        "decode_logits": digest(full),
+        "step_logprobs": digest(*steps),
+        "greedy": repr(beam_decode_batch(model, SOURCES, 1, 8)),
+        "beam3": repr(beam_decode_batch(model, SOURCES, 3, 8)),
+    }
+
+
+def model_digests(out: Path, others: Path | None):
+    corpus = gen_synthetic("copy", 12, 24, (2, 6), Rng(0))
+    bpe = learn_bpe(corpus.lines(), 16)
+    hp = TrainParams(warmup=20, batch_tokens=64)
+    for arch in ("thm", "transformer"):
+        for n_blocks in (0, 1, 2):
+            for dtype in (np.float32, np.float64):
+                name = f"{arch}-{n_blocks}-{np.dtype(dtype).name}"
+                cfg = ModelConfig(
+                    arch=arch, d_model=16, n_heads=2, n_blocks=n_blocks, d_ff=32,
+                    vocab_size=bpe.vocab_size, dropout_p=0.1, swap_prob=0.5, max_len=32,
+                    label_smoothing=0.1,
+                )
+                model = build_model(cfg, Rng(3), dtype=dtype)
+                params = model.params.values()
+                print(name, "init", digest(*[p.data for p in params]))
+                state = TrainState.for_model(model)
+                batches = make_batches(corpus, bpe, hp.batch_tokens, Rng(4), swap_prob=0.5)
+                losses = [train_step(model, b, state, hp, Rng(5).fork(i)) for i, b in enumerate(batches[:4])]
+                print(name, "losses", repr(losses))
+                print(name, "params", digest(*[p.data for p in params]))
+                print(name, "grads", digest(*[p.grad for p in params]))
+                print(name, "moments", digest(*state.m.values(), *state.v.values()))
+                for key, value in decode_digests(model).items():
+                    print(name, key, value)
+                ckpt = out / "ckpt" / f"{name}.ckpt"
+                save_model(ckpt, model, step=state.step)
+                print(name, "checkpoint", digest(np.frombuffer(ckpt.read_bytes(), dtype=np.uint8)))
+    if others is not None:
+        for path in sorted((others / "ckpt").glob("*.ckpt")):
+            loaded, step = model_from_checkpoint(path)
+            for key, value in decode_digests(loaded).items():
+                print("load", path.stem, step, key, value)
+
+
+def run_digest(out: Path):
+    """3 epochs of run_experiment on acceptance 7's data (tiny THM, seed 1)."""
+    rng = Rng(1)
+    train = gen_synthetic("copy", 20, 2000, (3, 12), rng.fork("train"))
+    dev = gen_synthetic("copy", 20, 100, (3, 12), rng.fork("dev"))
+    test = gen_synthetic("copy", 20, 100, (3, 12), rng.fork("test"))
+    bpe = learn_bpe(train.lines(), 28)
+    cfg = replace(preset("tiny"), vocab_size=bpe.vocab_size)
+    hp = TrainParams(warmup=400, batch_tokens=512)
+    run_experiment(cfg, DataBundle(train, dev, test, bpe), epochs=3, out_dir=out / "run", seed=1, hp=hp)
+    log = (out / "run" / "loss.log").read_bytes()
+    print("run loss.log", digest(np.frombuffer(log, dtype=np.uint8)))
+    print(log.decode(), end="")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", type=Path, help="directory for the checkpoints and the run")
+    ap.add_argument("--load", type=Path, help="a directory an earlier run wrote; decode its checkpoints")
+    args = ap.parse_args()
+    (args.out / "ckpt").mkdir(parents=True, exist_ok=True)
+    model_digests(args.out, args.load)
+    run_digest(args.out)
+
+
+if __name__ == "__main__":
+    main()
