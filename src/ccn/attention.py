@@ -10,6 +10,7 @@ query from the opposite channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,7 @@ def scaled_dot_attention(
     vh = matmul(v, params.w_v)
     scores = matmul(qh, transpose(kh))
     if scaled:
-        scores = scale(scores, 1.0 / np.sqrt(params.w_k.data.shape[-1]))
+        scores = scale(scores, 1.0 / math.sqrt(params.w_k.data.shape[-1]))
     if mask is not None:
         scores = apply_attention_mask(scores, mask.disallowed)
     return matmul(softmax_rows(scores), vh)
@@ -194,7 +195,7 @@ def attend_heads(
     decoding does with the encoder memory and the earlier target positions.
     """
     scores = matmul(qh, transpose(kh))
-    scores = scale(scores, 1.0 / np.sqrt(kh.data.shape[-1]))
+    scores = scale(scores, 1.0 / math.sqrt(kh.data.shape[-1]))
     if mask is not None:
         disallowed = mask.disallowed
         if disallowed.ndim > 2:  # (B, n, m) gains a head axis: (B, 1, n, m)

@@ -9,21 +9,29 @@ makes array draws vectorizable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# 0-d arrays rather than numpy scalars: arithmetic with them wraps modulo
+# 2^64 without an overflow warning, on a scalar operand too, and in-place
+# ops on arrays take them faster
+_GOLDEN = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_MIX1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
+_MIX2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
+_S11, _S27, _S30, _S31 = (np.array(k, dtype=np.uint64) for k in (11, 27, 30, 31))
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
 def _mix(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    # splitmix64 finalizer; works elementwise on uint64 arrays (mod-2^64 wrap intended)
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer, elementwise; a uint64 array is mixed in place."""
+    x ^= x >> _S30
+    x *= _MIX1
+    x ^= x >> _S27
+    x *= _MIX2
+    x ^= x >> _S31
+    return x
 
 
 def _hash_tag(tag) -> np.uint64:
@@ -47,19 +55,28 @@ class Rng:
         """Independent child stream; same (seed, tag) always yields the same child."""
         return Rng(self.seed, stream=_mix(self._base ^ _hash_tag(tag)))
 
-    def _raw(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            idx = self._counter + np.arange(1, n + 1, dtype=np.uint64)
-            self._counter += np.uint64(n)
-            return _mix(self._base + idx * _GOLDEN)
+    def _raw53(self, n: int) -> np.ndarray:
+        """The next ``n`` draws as 53-bit integers: uniforms times 2**53."""
+        x = np.arange(1, n + 1, dtype=np.uint64)
+        x += self._counter
+        x *= _GOLDEN
+        x += self._base
+        self._counter += np.uint64(n)
+        x = _mix(x)
+        x >>= _S11
+        return x
 
     def uniform(self, shape=None) -> float | np.ndarray:
         """Uniform float64 draws in [0, 1)."""
         if shape is None:
-            return float((self._raw(1) >> np.uint64(11))[0]) * 2.0**-53
-        n = int(np.prod(shape))
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            return float(self._raw53(1)[0]) * 2.0**-53
+        u = self._raw53(int(np.prod(shape))).astype(np.float64) * 2.0**-53
         return u.reshape(shape)
+
+    def uniform_at_least(self, shape, p: float) -> np.ndarray:
+        """``uniform(shape) >= p`` as a boolean array, compared as integers."""
+        keep = self._raw53(int(np.prod(shape))) >= np.uint64(math.ceil(p * 2.0**53))
+        return keep.reshape(shape)
 
     def uniform_range(self, lo: float, hi: float, shape=None):
         return lo + (hi - lo) * self.uniform(shape)

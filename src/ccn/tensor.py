@@ -7,7 +7,9 @@ accumulates gradients into every reachable leaf with ``requires_grad``.
 
 Shapes are 2-d (rows x features) or carry leading batch axes (the batch,
 and the heads inside attention); the fused kernels flatten all leading axes
-into rows. Verification runs use float64, training float32.
+into rows. Verification runs use float64, training float32. An op keeps
+its operand's dtype and casts constants to it; only the scalar loss of
+``cross_entropy`` is float64.
 """
 
 from __future__ import annotations
@@ -160,6 +162,9 @@ def mul(a, b) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    """Multiply by a constant cast to the operand's dtype, so a numpy
+    float64 scalar cannot promote a float32 tape."""
+    c = a.data.dtype.type(c)
     data = a.data * c
 
     def backward(g):
@@ -169,8 +174,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def add_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """Add a constant array (no gradient flows into it)."""
-    data = a.data + c
+    """Add a constant array, taken in the operand's dtype (no gradient flows into it)."""
+    data = a.data + np.asarray(c, dtype=a.data.dtype)
 
     def backward(g):
         return ((a, _unbroadcast(g, a.data.shape)),)
@@ -312,7 +317,7 @@ def dropout(a: Tensor, p: float, rng: Rng | None, training: bool) -> Tensor:
         return a
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = rng.uniform(a.data.shape) >= p
+    keep = rng.uniform_at_least(a.data.shape, p)
     mask = keep.astype(a.data.dtype) / np.asarray(1.0 - p, dtype=a.data.dtype)
     data = a.data * mask
 
@@ -332,9 +337,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
-        return ((table, gt),)
+        # scatter-add through the flat table: numpy's 1-d ``add.at`` fast path,
+        # accumulating each element in the same row order as the 2-d form
+        vocab, d = table.data.shape
+        gt = np.zeros(vocab * d, dtype=table.data.dtype)
+        np.add.at(gt, (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1), g.reshape(-1))
+        return ((table, gt.reshape(vocab, d)),)
 
     return _make(data, (table,), backward)
 

@@ -79,6 +79,22 @@ class TrainState:
             step=int(meta[0]), epoch=int(meta[1]), best_dev_bleu=float(meta[2]), m=m, v=v
         )
 
+    def check_matches(self, model: Seq2SeqModel, path) -> None:
+        """Raise DataError naming ``path`` unless both moments hold exactly
+        the names and shapes of ``model.params``."""
+        want = {n: p.data.shape for n, p in model.params.items()}
+        for kind, moments in (("m", self.m), ("v", self.v)):
+            got = {n: a.shape for n, a in moments.items()}
+            if got != want:
+                name = min(n for n in want.keys() | got.keys() if got.get(n) != want.get(n))
+                state_has, model_has = (
+                    "no such array" if d.get(name) is None else f"shape {d[name]}" for d in (got, want)
+                )
+                raise DataError(
+                    f"{path}: training state does not match the model: "
+                    f"{kind}/{name} has {state_has} in the state, {model_has} in the model"
+                )
+
 
 def train_step(
     model: Seq2SeqModel,
@@ -237,6 +253,7 @@ def run_experiment(
     if start_epoch:
         model, _ = model_from_checkpoint(_ckpt_path(out_dir, start_epoch))
         state = TrainState.load(_state_path(out_dir, start_epoch))
+        state.check_matches(model, _state_path(out_dir, start_epoch))
         records.rows = records.rows[:start_epoch]
         log_path.write_text(records.to_log(), encoding="utf-8")
     else:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, flags, help, pipelines."""
 
+import numpy as np
 import pytest
 
 from ccn import cli, evaluation
@@ -266,22 +267,45 @@ def test_translate_directory_as_checkpoint_exits_two(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_resume_from_truncated_state_file_exits_two(capsys, tmp_path):
+def _train_argv(capsys, tmp_path) -> list[str]:
+    """``ccn train`` of tiny on a small corpus into tmp_path/run, one epoch run."""
     data, vocab = _tiny_data(capsys, tmp_path)
-    run = tmp_path / "run"
     argv = [
-        "train", "--preset", "tiny", "--seed", "1", "--quiet", "--out", str(run),
+        "train", "--preset", "tiny", "--seed", "1", "--quiet", "--out", str(tmp_path / "run"),
         "--src", str(data / "train.src"), "--tgt", str(data / "train.tgt"),
         "--dev-src", str(data / "dev.src"), "--dev-tgt", str(data / "dev.tgt"),
         "--test-src", str(data / "test.src"), "--test-tgt", str(data / "test.tgt"),
         "--bpe", str(vocab), "--batch-tokens", "64", "--warmup", "50",
     ]
     assert run_cli(capsys, *argv, "--epochs", "1")[0] == 0
-    state = run / "epoch001.state.npz"
+    return argv
+
+
+def test_resume_from_truncated_state_file_exits_two(capsys, tmp_path):
+    argv = _train_argv(capsys, tmp_path)
+    state = tmp_path / "run" / "epoch001.state.npz"
     state.write_bytes(state.read_bytes()[:-10])
     code, _, err = run_cli(capsys, *argv, "--epochs", "2", "--resume")
     assert code == 2
     assert f"{state}: not a readable training state" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", ["rename", "reshape"])
+def test_resume_from_state_file_not_matching_the_model_exits_two(capsys, tmp_path, change):
+    argv = _train_argv(capsys, tmp_path)
+    state = tmp_path / "run" / "epoch001.state.npz"
+    with np.load(state) as zf:
+        arrays = {k: zf[k] for k in zf.files}
+    key = "v/dec.0.self_attn.wo"
+    if change == "rename":
+        arrays["v/dec.0.self_attn.wx"] = arrays.pop(key)
+    else:
+        arrays[key] = arrays[key][:, :-1]
+    np.savez(state, **arrays)
+    code, _, err = run_cli(capsys, *argv, "--epochs", "2", "--resume")
+    assert code == 2
+    assert f"{state}: training state does not match the model" in err
     assert "Traceback" not in err
 
 

@@ -383,6 +383,57 @@ def test_the_only_concat_in_a_training_step_is_the_decoder_merge(arch, merges):
     assert concats == merges
 
 
+def _recording(backward, dtypes: list):
+    """``backward`` that also notes the dtype of every gradient it hands on."""
+
+    def wrapped(g):
+        pairs = tuple(backward(g))
+        dtypes.extend(pg.dtype for _, pg in pairs if pg is not None)
+        return pairs
+
+    return wrapped
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_training_step_computes_in_the_model_dtype(arch, dtype):
+    # only the scalar loss is float64; every other node and every gradient
+    # keeps the model dtype, forward and backward
+    corpus = gen_synthetic("copy", 12, 4, (3, 5), Rng(0))
+    bpe = learn_bpe(corpus.lines(), 16)
+    cfg = tiny_cfg(arch, dropout_p=0.1, swap_prob=0.5, vocab_size=bpe.vocab_size)
+    model = build_model(cfg, Rng(29), dtype=dtype)
+    batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
+    loss = model.loss_on_batch(batch, training=True, rng=Rng(13))
+    assert loss.data.dtype == np.float64
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    assert {n.data.dtype for n in nodes[1:]} == {np.dtype(dtype)}
+    handed = []
+    for node in nodes:
+        if node._backward is not None:
+            node._backward = _recording(node._backward, handed)
+    loss.backward()
+    assert handed and set(handed) == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_decode_state_stays_in_the_model_dtype(arch, dtype):
+    model = build_model(tiny_cfg(arch), Rng(30), dtype=dtype)
+    state = model.start_decode(DECODE_SOURCES)
+    for col in _token_columns(np.random.default_rng(6), len(DECODE_SOURCES), 3):
+        assert model.step_logprobs(state, col).dtype == np.float64
+        cached = [x for block in state.cross for kv in block for x in kv]
+        cached += [x for kv in state.past for x in kv]
+        assert {x.data.dtype for x in cached} == {np.dtype(dtype)}
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -174,6 +174,52 @@ def test_dropout_same_seed_bit_identical():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (42, 6, 64)])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+def test_dropout_mask_is_the_uniform_threshold_and_advances_the_same(shape, p):
+    a, b = Rng(11).fork("dropout"), Rng(11).fork("dropout")
+    out = T.dropout(T.Tensor(np.ones(shape)), p, a, training=True).data
+    assert np.array_equal(out != 0.0, b.uniform(shape) >= p)
+    assert np.array_equal(a.uniform((9,)), b.uniform((9,)))
+
+
+def test_uniform_at_least_is_exact_at_the_threshold():
+    u = Rng(12).uniform((6,))
+    for i, ui in enumerate(u):
+        above = np.nextafter(ui, 1.0)
+        assert Rng(12).uniform_at_least((6,), ui)[i]
+        assert not Rng(12).uniform_at_least((6,), above)[i]
+
+
+def test_scale_and_add_const_keep_a_float32_operand_float32():
+    # a numpy float64 constant must not promote a float32 tape
+    x = T.parameter("x", np.arange(6, dtype=np.float32).reshape(2, 3))
+    y = T.scale(x, np.float64(0.25))
+    assert y.data.dtype == np.float32
+    assert np.array_equal(y.data, x.data * np.float32(0.25))
+    ((_, gx),) = y._backward(np.ones_like(y.data))
+    assert gx.dtype == np.float32
+    z = T.add_const(x, np.full((2, 3), 0.1))
+    assert z.data.dtype == np.float32
+    assert np.array_equal(z.data, x.data + np.float32(0.1))
+    T.mean_all(T.add(y, z)).backward()
+    assert x.grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_embedding_backward_equals_two_dimensional_scatter(dtype):
+    rng = np.random.default_rng(8)
+    table = T.parameter("t", rng.standard_normal((52, 64)).astype(dtype))
+    ids = rng.integers(0, 6, size=(42, 6))  # many repeats; id 0 plays the pad
+    ids[:, -2:] = 0
+    g = rng.standard_normal((42, 6, 64)).astype(dtype)
+    ((_, got),) = T.embedding(table, ids)._backward(g)
+    want = np.zeros_like(table.data)
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 64))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_cross_entropy_uniform_logits_is_log_vocab():
     for vocab in (2, 5, 17):
         logits = T.Tensor(np.zeros((1, 3, vocab)))
