@@ -6,6 +6,10 @@ oracle for the vectorized path; do not "optimize" it. The co-attention pair
 routes each of the V/K/Q gates of two branches to either the left or right
 input channel; the crossed routing keeps V and K at home and borrows the
 query from the opposite channel.
+
+A mask is an additive bias array (Vaswani et al. 2017, section 3.2.3):
+``causal_mask`` and ``padding_mask`` build and check it once per forward
+pass, and every attention call adds the bias it is given to its scores.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, MaskError, ShapeError
 from .tensor import (
     Tensor,
-    apply_attention_mask,
+    add_const,
     matmul,
     reshape,
     scale,
@@ -56,34 +60,29 @@ def self_routing(channel: str) -> GateRouting:
     return GateRouting(v_source=channel, k_source=channel, q_source=channel)
 
 
-@dataclass
-class AttentionMask:
-    """Boolean matrix of disallowed (query, key) pairs; may carry a batch axis."""
+def _bias(disallowed: np.ndarray, dtype) -> np.ndarray:
+    """Additive attention bias in ``dtype``: -1e9 at the disallowed (query,
+    key) pairs, 0 elsewhere; a query row with no allowed key raises.
 
-    disallowed: np.ndarray
-
-    def __post_init__(self):
-        self.disallowed = np.asarray(self.disallowed, dtype=bool)
-
-    @property
-    def shape(self):
-        return self.disallowed.shape
+    The additive constant keeps gradients finite while exp underflows the
+    masked weights to exactly zero after the row-max shift.
+    """
+    if np.any(disallowed.all(axis=-1)):
+        raise MaskError("attention mask disallows every key for at least one query row")
+    return np.where(disallowed, np.dtype(dtype).type(-1e9), 0)
 
 
-def causal_mask(n: int) -> AttentionMask:
-    """Disallow attending to strictly later positions."""
+def causal_mask(n: int, dtype) -> np.ndarray:
+    """(n, n) bias that disallows attending to strictly later positions."""
     if n < 1:
         raise ValueError(f"causal mask needs length >= 1, got {n}")
-    return AttentionMask(np.triu(np.ones((n, n), dtype=bool), k=1))
+    return _bias(np.triu(np.ones((n, n), dtype=bool), k=1), dtype)
 
 
-def padding_mask(n_q: int, key_is_pad: np.ndarray) -> AttentionMask:
-    """Disallow pad keys for every query row. ``key_is_pad`` is (n_k,) or (B, n_k)."""
-    key_is_pad = np.asarray(key_is_pad, dtype=bool)
-    if key_is_pad.ndim == 1:
-        return AttentionMask(np.broadcast_to(key_is_pad, (n_q, key_is_pad.shape[0])))
-    b, n_k = key_is_pad.shape
-    return AttentionMask(np.broadcast_to(key_is_pad[:, None, :], (b, n_q, n_k)))
+def padding_mask(key_is_pad: np.ndarray, dtype) -> np.ndarray:
+    """Bias that disallows pad keys for every query row: (n_k,) or (B, n_k)
+    pad flags give a (1, n_k) or (B, 1, n_k) bias."""
+    return _bias(np.asarray(key_is_pad, dtype=bool)[..., None, :], dtype)
 
 
 @dataclass
@@ -153,7 +152,7 @@ def scaled_dot_attention(
     k: Tensor,
     v: Tensor,
     params: AttentionHeadParams,
-    mask: AttentionMask | None = None,
+    mask: np.ndarray | None = None,
     scaled: bool = True,
 ) -> Tensor:
     """softmax(q W_q (k W_k)^T / sqrt(d_k)) (v W_v); one attention head.
@@ -172,7 +171,7 @@ def scaled_dot_attention(
     if scaled:
         scores = scale(scores, 1.0 / math.sqrt(params.w_k.data.shape[-1]))
     if mask is not None:
-        scores = apply_attention_mask(scores, mask.disallowed)
+        scores = add_const(scores, mask)
     return matmul(softmax_rows(scores), vh)
 
 
@@ -186,7 +185,7 @@ def split_heads(x: Tensor, params: MultiHeadParams, gate: str) -> Tensor:
 
 
 def attend_heads(
-    qh: Tensor, kh: Tensor, vh: Tensor, params: MultiHeadParams, mask: AttentionMask | None = None
+    qh: Tensor, kh: Tensor, vh: Tensor, params: MultiHeadParams, mask: np.ndarray | None = None
 ) -> Tensor:
     """Scaled dot-product attention of head-split queries over head-split
     keys and values, heads merged and projected by w_o: (..., n, d_model).
@@ -196,11 +195,8 @@ def attend_heads(
     """
     scores = matmul(qh, transpose(kh))
     scores = scale(scores, 1.0 / math.sqrt(kh.data.shape[-1]))
-    if mask is not None:
-        disallowed = mask.disallowed
-        if disallowed.ndim > 2:  # (B, n, m) gains a head axis: (B, 1, n, m)
-            disallowed = disallowed[..., None, :, :]
-        scores = apply_attention_mask(scores, disallowed)
+    if mask is not None:  # a batched (B, n or 1, m) bias gains a head axis
+        scores = add_const(scores, mask[..., None, :, :] if mask.ndim > 2 else mask)
     out = transpose(matmul(softmax_rows(scores), vh), -3, -2)
     return matmul(reshape(out, out.data.shape[:-2] + (params.w_o.data.shape[-2],)), params.w_o)
 
@@ -210,7 +206,7 @@ def multi_head(
     k: Tensor,
     v: Tensor,
     params: MultiHeadParams,
-    mask: AttentionMask | None = None,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
     """All heads as one attention over a head axis, merged and projected by w_o.
 
@@ -227,7 +223,7 @@ def routed_attention(
     channels: dict[str, Tensor],
     routing: GateRouting,
     params: MultiHeadParams,
-    mask: AttentionMask | None = None,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
     """One attention branch whose V/K/Q gates read the channels ``routing`` names."""
     return multi_head(
@@ -246,8 +242,8 @@ def coattention(
     right_routing: GateRouting,
     left_params: MultiHeadParams,
     right_params: MultiHeadParams,
-    left_mask: AttentionMask | None = None,
-    right_mask: AttentionMask | None = None,
+    left_mask: np.ndarray | None = None,
+    right_mask: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Two attention branches whose V/K/Q gates draw from either input channel.
 

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .model import ModelConfig, Seq2SeqModel, build_model
-from .rng import Rng
+from .model import ModelConfig, ParamStore, Seq2SeqModel
 
 MAGIC = b"THM1"
 FORMAT_VERSION = 1
@@ -136,17 +135,6 @@ def save_model(path, model: Seq2SeqModel, step: int = 0):
 
 
 def model_from_checkpoint(path, dtype=np.float32) -> tuple[Seq2SeqModel, int]:
-    """Rebuild a model and overwrite its parameters with the stored values."""
+    """Rebuild a model from the stored parameters, which must match its names and shapes."""
     config, step, params = load_checkpoint(path)
-    model = build_model(config, Rng(0), dtype=dtype)
-    missing = set(model.params) ^ set(params)
-    if missing:
-        raise DataError(f"checkpoint parameters do not match the model: {sorted(missing)[:5]}")
-    for name, p in model.params.items():
-        stored = params[name]
-        if stored.shape != p.data.shape:
-            raise DataError(
-                f"checkpoint shape mismatch for {name}: {stored.shape} vs {p.data.shape}"
-            )
-        p.data[...] = stored
-    return model, step
+    return Seq2SeqModel(config, ParamStore(dtype, stored=params)), step

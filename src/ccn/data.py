@@ -99,10 +99,6 @@ class Batch:
     tgt_out: np.ndarray
 
     @property
-    def src_pad(self) -> np.ndarray:
-        return self.src == PAD_ID
-
-    @property
     def tgt_pad(self) -> np.ndarray:
         return self.tgt_out == PAD_ID
 

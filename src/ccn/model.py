@@ -42,6 +42,7 @@ from .attention import (
     self_routing,
     split_heads,
 )
+from .bpe import PAD_ID
 from .errors import DataError, ShapeError
 from .rng import Rng
 from .tensor import (
@@ -59,8 +60,6 @@ from .tensor import (
     scale,
     transpose,
 )
-
-PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 
 ARCH_THM = "thm"
 ARCH_TRANSFORMER = "transformer"
@@ -128,35 +127,55 @@ def preset(name: str, **overrides) -> ModelConfig:
 
 
 class ParamStore:
-    """Creates named parameters in a fixed order (the checkpoint order).
-    A parameter's ``.data`` and ``.grad`` may be views of a fused leaf
-    (``fuse``): parameter arrays are written in place, never rebound."""
+    """Creates named parameters in a fixed order (the checkpoint order),
+    each drawn from ``rng`` or, given ``stored`` arrays (a loaded
+    checkpoint), taken by name; ``finish`` returns them once the model is
+    built. A parameter's ``.data`` and ``.grad`` may be views of a fused
+    leaf (``fuse``): parameter arrays are written in place, never rebound."""
 
-    def __init__(self, rng: Rng, dtype):
+    def __init__(self, dtype, rng: Rng | None = None, stored: dict[str, np.ndarray] | None = None):
+        self.dtype = np.dtype(dtype)
         self.rng = rng
-        self.dtype = dtype
+        self.stored = stored
         self.params: dict[str, Tensor] = {}
 
-    def _register(self, name: str, data: np.ndarray) -> Tensor:
+    def _register(self, name: str, shape: tuple, draw) -> Tensor:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = parameter(name, data.astype(self.dtype))
+        if self.stored is None:
+            data = draw()
+        elif name not in self.stored:
+            raise DataError(f"checkpoint parameters do not match the model: {[name]}")
+        else:
+            data = self.stored[name]
+            if data.shape != shape:
+                raise DataError(f"checkpoint shape mismatch for {name}: {data.shape} vs {shape}")
+        p = parameter(name, data.astype(self.dtype, copy=False))
         self.params[name] = p
         return p
 
+    def finish(self) -> dict[str, Tensor]:
+        """The parameters in creation order; stored arrays no parameter took raise."""
+        extra = set(self.stored or ()) - set(self.params)
+        if extra:
+            raise DataError(f"checkpoint parameters do not match the model: {sorted(extra)[:5]}")
+        return self.params
+
     def xavier(self, name: str, fan_in: int, fan_out: int) -> Tensor:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return self._register(name, self.rng.uniform_range(-limit, limit, (fan_in, fan_out)))
+        shape = (fan_in, fan_out)
+        return self._register(name, shape, lambda: self.rng.uniform_range(-limit, limit, shape))
 
     def embedding_table(self, name: str, vocab: int, d: int) -> Tensor:
         limit = np.sqrt(3.0 / d)
-        return self._register(name, self.rng.uniform_range(-limit, limit, (vocab, d)))
+        shape = (vocab, d)
+        return self._register(name, shape, lambda: self.rng.uniform_range(-limit, limit, shape))
 
-    def zeros(self, name: str, shape) -> Tensor:
-        return self._register(name, np.zeros(shape))
+    def zeros(self, name: str, shape: tuple) -> Tensor:
+        return self._register(name, shape, lambda: np.zeros(shape))
 
-    def ones(self, name: str, shape) -> Tensor:
-        return self._register(name, np.ones(shape))
+    def ones(self, name: str, shape: tuple) -> Tensor:
+        return self._register(name, shape, lambda: np.ones(shape))
 
     def fuse(self, name: str, parts: list[Tensor]) -> Tensor:
         """One leaf holding ``parts`` side by side along the last axis; each
@@ -251,18 +270,11 @@ def _norm(x: Tensor, p: NormParams) -> Tensor:
 
 @dataclass
 class EncoderMemory:
-    """Final encoder states (both fields hold the transformer's one memory) plus the source pad mask."""
+    """Final encoder states, one per branch, and the (batch, 1, source
+    length) bias that masks the source pad keys."""
 
-    mem_left: Tensor
-    mem_right: Tensor
-    src_pad: np.ndarray
-
-    def __post_init__(self):
-        if self.mem_left.data.shape[-2] != self.mem_right.data.shape[-2]:
-            raise ShapeError(
-                f"branch memories disagree on source length: "
-                f"{self.mem_left.data.shape} vs {self.mem_right.data.shape}"
-            )
+    states: list[Tensor]
+    key_bias: np.ndarray
 
 
 @dataclass
@@ -272,10 +284,11 @@ class DecodeState:
     ``cross[i]`` holds decoder block i's cross-attention (keys, values) per
     branch, projected once from the encoder memory; ``past[i]`` holds its
     self-attention (keys, values) of the ``length`` positions fed so far
-    (None before the first). Arrays are (rows, heads, positions, d_k).
+    (None before the first). Arrays are (rows, heads, positions, d_k);
+    ``key_bias`` is the encoder memory's source-key bias.
     """
 
-    src_pad: np.ndarray
+    key_bias: np.ndarray
     cross: list[list[tuple[Tensor, Tensor]]]
     past: list[tuple[Tensor, Tensor] | None]
     length: int = 0
@@ -290,13 +303,12 @@ class Seq2SeqModel:
     its unprefixed parameter names (``enc.0.attn``, ``dec.0.cross``).
     """
 
-    def __init__(self, config: ModelConfig, rng: Rng, dtype=np.float32):
+    def __init__(self, config: ModelConfig, store: ParamStore):
         self.config = config
-        self.dtype = np.dtype(dtype)
+        self.dtype = store.dtype
         self.branches = (LEFT, RIGHT) if config.arch == ARCH_THM else ("",)
         self.positions = sinusoidal_positions(config.max_len, config.d_model).astype(self.dtype)
         # parameters are created in checkpoint order
-        store = ParamStore(rng.fork("init"), self.dtype)
         d, f, h = config.d_model, config.d_ff, config.n_heads
         self.embed_table = store.embedding_table("embedding.table", config.vocab_size, d)
         self.enc_blocks = [
@@ -325,7 +337,7 @@ class Seq2SeqModel:
                 for b in self.branches
             }
             self.dec_final = _make_norm(store, "dec.final_norm", d)
-        self.params = store.params
+        self.params = store.finish()
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -341,7 +353,6 @@ class Seq2SeqModel:
     def embed_tokens(
         self,
         ids: np.ndarray,
-        positions: bool = True,
         training: bool = False,
         rng: Rng | None = None,
         start: int = 0,
@@ -351,8 +362,7 @@ class Seq2SeqModel:
         ids = np.asarray(ids)
         self._check_len(start + ids.shape[-1], "sequence")
         x = scale(embedding(self.embed_table, ids), float(np.sqrt(self.config.d_model)))
-        if positions:
-            x = add(x, Tensor(self.positions[start : start + ids.shape[-1]]))
+        x = add(x, Tensor(self.positions[start : start + ids.shape[-1]]))
         return dropout(x, self.config.dropout_p, rng, training)
 
     def _sublayer(self, x: Tensor, sub_out: Tensor, norm: NormParams, training, rng) -> Tensor:
@@ -386,12 +396,11 @@ class Seq2SeqModel:
         if routing is None:
             routing = crossed_routing() if len(self.branches) == 2 else (self_routing(LEFT),)
         route = dict(zip(self.branches, routing, strict=True))
-        src_pad = srcs[0] == PAD_ID
-        key_mask = padding_mask(srcs[0].shape[-1], src_pad)
+        key_bias = padding_mask(srcs[0] == PAD_ID, self.dtype)
         xs = [self.embed_tokens(s, training=training, rng=rng) for s in srcs]
         for block in self.enc_blocks:
             channels = dict(zip((LEFT, RIGHT), xs))
-            ys = [routed_attention(channels, route[b], block[b]["attn"], key_mask) for b in self.branches]
+            ys = [routed_attention(channels, route[b], block[b]["attn"], key_bias) for b in self.branches]
             xs = [
                 self._sublayer(x, y, block[b]["attn_norm"], training, rng)
                 for b, x, y in zip(self.branches, xs, ys)
@@ -399,7 +408,7 @@ class Seq2SeqModel:
             xs = [self._ffn_sublayer(x, block[b], training, rng) for b, x in zip(self.branches, xs)]
         if self.enc_blocks:
             xs = [_norm(x, self.enc_final[b]) for b, x in zip(self.branches, xs)]
-        return EncoderMemory(mem_left=xs[0], mem_right=xs[-1], src_pad=src_pad)
+        return EncoderMemory(xs, key_bias)
 
     def _memory_kv(self, block, branch: str, mem: Tensor) -> tuple[Tensor, Tensor]:
         """Head-split cross-attention keys and values of one branch's memory."""
@@ -408,7 +417,7 @@ class Seq2SeqModel:
 
     def _cross_kv(self, memory: EncoderMemory) -> list[list[tuple[Tensor, Tensor]]]:
         """Every decoder block's cross-attention (keys, values) per branch."""
-        pairs = list(zip(self.branches, (memory.mem_left, memory.mem_right)))
+        pairs = list(zip(self.branches, memory.states, strict=True))
         return [[self._memory_kv(block, b, mem) for b, mem in pairs] for block in self.dec_blocks]
 
     def _decode_branch(self, block, branch: str, s: Tensor, kv, cross_mask, training, rng) -> Tensor:
@@ -457,7 +466,7 @@ class Seq2SeqModel:
         t = self.embed_tokens(tgt_in, training=training, rng=rng)
         cross, past = self._cross_kv(memory), [None] * len(self.dec_blocks)
         t, _ = self._decoder_stack(
-            t, cross, past, causal_mask(m), padding_mask(m, memory.src_pad), training, rng
+            t, cross, past, causal_mask(m, self.dtype), memory.key_bias, training, rng
         )
         return self.project_vocab(t)
 
@@ -500,7 +509,7 @@ class Seq2SeqModel:
             # every branch reads the clean source at inference
             memory = self.encode(*[ids] * len(self.branches))
             cross = self._cross_kv(memory)
-        return DecodeState(memory.src_pad, cross, [None] * len(self.dec_blocks))
+        return DecodeState(memory.key_bias, cross, [None] * len(self.dec_blocks))
 
     def step_logprobs(self, state: DecodeState, tokens) -> np.ndarray:
         """Feed one token per row at the next position; (rows, V) float64
@@ -511,7 +520,7 @@ class Seq2SeqModel:
         with no_grad():
             t = self.embed_tokens(tokens, start=state.length)
             t, state.past = self._decoder_stack(
-                t, state.cross, state.past, None, padding_mask(1, state.src_pad), False, None
+                t, state.cross, state.past, None, state.key_bias, False, None
             )
             logits = self.project_vocab(t).data[:, -1].astype(np.float64)
         state.length += 1
@@ -525,7 +534,7 @@ class Seq2SeqModel:
         def gather(kv):
             return tuple(Tensor(x.data[rows]) for x in kv)
 
-        state.src_pad = state.src_pad[rows]
+        state.key_bias = state.key_bias[rows]
         state.cross = [[gather(kv) for kv in block] for block in state.cross]
         state.past = [None if kv is None else gather(kv) for kv in state.past]
 
@@ -535,7 +544,7 @@ CrossedCoAttentionModel = TransformerModel = Seq2SeqModel
 
 
 def build_model(config: ModelConfig, rng: Rng, dtype=np.float32) -> Seq2SeqModel:
-    return Seq2SeqModel(config, rng, dtype=dtype)
+    return Seq2SeqModel(config, ParamStore(dtype, rng=rng.fork("init")))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import kernels
-from .errors import DataError, MaskError, ShapeError, VocabError
+from .errors import DataError, ShapeError, VocabError
 from .rng import Rng
 
 _grad_enabled = True
@@ -345,21 +345,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         return ((table, gt.reshape(vocab, d)),)
 
     return _make(data, (table,), backward)
-
-
-def apply_attention_mask(scores: Tensor, disallowed: np.ndarray) -> Tensor:
-    """Push masked score entries to -1e9; reject rows with no allowed key.
-
-    The additive constant keeps gradients finite while exp underflows the
-    masked weights to exactly zero after the row-max shift.
-    """
-    if disallowed.shape[-2:] != scores.data.shape[-2:]:
-        raise ShapeError(
-            f"mask shape {disallowed.shape} does not match scores {scores.data.shape}"
-        )
-    if np.any(disallowed.all(axis=-1)):
-        raise MaskError("attention mask disallows every key for at least one query row")
-    return add_const(scores, np.where(disallowed, scores.data.dtype.type(-1e9), 0))
 
 
 def cross_entropy(

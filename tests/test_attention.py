@@ -8,7 +8,6 @@ from ccn.attention import (
     LEFT,
     RIGHT,
     AttentionHeadParams,
-    AttentionMask,
     GateRouting,
     MultiHeadParams,
     causal_mask,
@@ -63,15 +62,25 @@ def test_routing_rejects_unknown_channel():
 
 
 def test_causal_mask_counts():
-    assert not causal_mask(1).disallowed.any()
-    m2 = causal_mask(2).disallowed
+    assert not (causal_mask(1, np.float64) < 0).any()
+    m2 = causal_mask(2, np.float64) < 0
     assert m2.sum() == 1 and m2[0, 1]
-    assert causal_mask(4).disallowed.sum() == 6
+    assert (causal_mask(4, np.float64) < 0).sum() == 6
 
 
 def test_causal_mask_rejects_zero_length():
     with pytest.raises(ValueError):
-        causal_mask(0)
+        causal_mask(0, np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_mask_biases_come_back_in_the_requested_dtype(dtype):
+    causal = causal_mask(3, dtype)
+    padding = padding_mask(np.array([[False, True], [False, False]]), dtype)
+    assert causal.dtype == padding.dtype == np.dtype(dtype)
+    assert padding.shape == (2, 1, 2)
+    assert padding[0, 0, 1] == causal[0, 1] == dtype(-1e9)
+    assert not padding[1].any() and not np.tril(causal).any()
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +196,16 @@ def test_attention_kv_length_mismatch_raises():
 
 
 def test_fully_masked_row_rejected():
-    rng = np.random.default_rng(8)
-    head = _head(rng, 4)
-    x = T.Tensor(rng.normal(size=(2, 4)))
-    mask = AttentionMask(np.array([[True, True], [False, False]]))
+    # every key of batch row 0 is a pad: its query rows allow no key
     with pytest.raises(MaskError):
-        scaled_dot_attention(x, x, x, head, mask=mask)
+        padding_mask(np.array([[True, True], [False, False]]), np.float64)
 
 
 def test_masked_weights_are_exactly_zero():
     rng = np.random.default_rng(9)
     n = 5
     scores = T.Tensor(rng.normal(size=(n, n)))
-    masked = T.apply_attention_mask(scores, causal_mask(n).disallowed)
+    masked = T.add_const(scores, causal_mask(n, np.float64))
     weights = T.softmax_rows(masked).data
     assert np.all(weights[np.triu_indices(n, k=1)] == 0.0)
     assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-6
@@ -273,14 +279,14 @@ def test_multi_head_matches_per_head_oracle_values_and_gradients(batched, mask_k
     kv = q if mask_kind == "causal" else T.parameter("kv", rng.normal(size=lead + (n_k, d)))
     mask = None
     if mask_kind == "causal":
-        mask = causal_mask(n_q)
+        mask = causal_mask(n_q, np.float64)
     elif mask_kind == "padding":
         key_is_pad = np.zeros(lead + (n_k,), dtype=bool)
         key_is_pad[..., -2:] = True
         if batched:
             key_is_pad[0, -2:] = False  # rows differ: a 3-d mask
-        mask = padding_mask(n_q, key_is_pad)
-        assert mask.disallowed.ndim == (3 if batched else 2)
+        mask = padding_mask(key_is_pad, np.float64)
+        assert mask.ndim == (3 if batched else 2)
     shared = [params.w_o, q]
     if kv is not q:
         shared.append(kv)
@@ -322,7 +328,7 @@ def test_multi_head_tape_ops_do_not_grow_with_heads():
     for n_heads in (1, 2, 4, 8):
         params, _ = _trainable_mha(rng, d, n_heads)
         x = T.parameter("x", rng.normal(size=(2, 5, d)))
-        counts.append(_tape_ops(multi_head(x, x, x, params, causal_mask(5))))
+        counts.append(_tape_ops(multi_head(x, x, x, params, causal_mask(5, np.float64))))
     assert len(set(counts)) == 1, counts
 
 

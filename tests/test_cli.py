@@ -5,7 +5,7 @@ import pytest
 
 from ccn import cli, evaluation
 from ccn.bpe import EOS_ID, apply_bpe, ids_to_text, load_bpe
-from ccn.checkpoint import save_model
+from ccn.checkpoint import save_checkpoint, save_model
 from ccn.evaluation import beam_search, greedy_decode
 from ccn.model import build_model, preset
 from ccn.rng import Rng
@@ -224,6 +224,22 @@ def test_translate_truncated_checkpoint_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "m.ckpt: byte " in err and "truncated" in err
+    assert "Traceback" not in err
+
+
+def test_translate_checkpoint_lacking_a_parameter_exits_two(capsys, tmp_path):
+    data, vocab = _tiny_data(capsys, tmp_path)
+    model = build_model(replace(preset("tiny"), vocab_size=load_bpe(vocab).vocab_size), Rng(0))
+    params = {n: p.data for n, p in model.params.items()}
+    del params["dec.0.self_attn.wo"]
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model.config, 0, params)
+    code, out, err = run_cli(
+        capsys, "translate", "--ckpt", str(ckpt), "--bpe", str(vocab), "--src", str(data / "dev.src"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "dec.0.self_attn.wo" in err
     assert "Traceback" not in err
 
 

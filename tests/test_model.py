@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ccn.attention import LEFT, RIGHT, padding_mask, self_routing
+from ccn import attention
+from ccn.attention import LEFT, RIGHT, self_routing
 from ccn.bpe import BOS_ID, learn_bpe
-from ccn.checkpoint import load_checkpoint, model_from_checkpoint, save_model
+from ccn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint, save_model
 from ccn.data import gen_synthetic, make_batches
-from ccn.errors import DataError, ShapeError, VocabError
+from ccn.errors import DataError, MaskError, ShapeError, VocabError
 from ccn.model import (
     ModelConfig,
     build_model,
@@ -59,10 +60,10 @@ def test_positional_encoding_known_values():
     assert abs(pe[2, 2] - np.sin(2.0 / 10000 ** (2.0 / 8.0))) < 1e-12
 
 
-def test_embed_without_positions_is_scaled_row():
+def test_embed_is_scaled_row_plus_position():
     model = build_model(tiny_cfg(), Rng(0), dtype=np.float64)
-    out = model.embed_tokens(np.array([[5]]), positions=False).data
-    want = model.embed_table.data[5] * np.sqrt(model.config.d_model)
+    out = model.embed_tokens(np.array([[5]])).data
+    want = model.embed_table.data[5] * np.sqrt(model.config.d_model) + model.positions[0]
     assert np.array_equal(out[0, 0], want)
 
 
@@ -83,8 +84,7 @@ def test_thm_encoder_output_shapes():
     model = build_model(tiny_cfg(), Rng(1), dtype=np.float64)
     src = np.array([[5, 6, 7, 2], [8, 9, 2, 0]])
     memory = model.encode(src, src)
-    assert memory.mem_left.data.shape == (2, 4, 16)
-    assert memory.mem_right.data.shape == (2, 4, 16)
+    assert [m.data.shape for m in memory.states] == [(2, 4, 16), (2, 4, 16)]
     logits = model.decode(memory, np.array([[1, 5, 6], [1, 8, 9]]))
     assert logits.data.shape == (2, 3, 20)
 
@@ -103,7 +103,7 @@ def test_thm_branch_symmetry_with_tied_parameters():
     _copy_params(model, values, mapping)
     src = np.array([[5, 6, 7, 2]])
     memory = model.encode(src, src)
-    assert np.array_equal(memory.mem_left.data, memory.mem_right.data)
+    assert np.array_equal(memory.states[0].data, memory.states[1].data)
 
 
 def test_thm_zero_blocks_returns_embedded_inputs():
@@ -111,8 +111,8 @@ def test_thm_zero_blocks_returns_embedded_inputs():
     src = np.array([[5, 6, 2]])
     memory = model.encode(src, src)
     want = model.embed_tokens(src).data
-    assert np.array_equal(memory.mem_left.data, want)
-    assert np.array_equal(memory.mem_right.data, want)
+    assert np.array_equal(memory.states[0].data, want)
+    assert np.array_equal(memory.states[1].data, want)
 
 
 def test_thm_encoder_rejects_misaligned_branch_inputs():
@@ -141,9 +141,9 @@ def test_decoder_branch_halves_equal_with_tied_params_and_memories():
     src = np.array([[5, 6, 7, 2]])
     memory = model.encode(src, src)
     # identical memories for both branches
-    mem = memory.mem_left
+    mem = memory.states[0]
     s = model.embed_tokens(np.array([[1, 5, 6]]))
-    cross_mask = padding_mask(3, memory.src_pad)
+    cross_mask = memory.key_bias
     block = model.dec_blocks[0]
     left, right = (
         model._decode_branch(block, b, s, model._memory_kv(block, b, mem), cross_mask, False, None)
@@ -221,7 +221,7 @@ def test_baseline_encoder_matches_thm_left_branch_under_all_left_routing():
     with no_grad():
         thm_mem = thm.encode(src, src, routing=(self_routing(LEFT), self_routing(RIGHT)))
         base_mem = base.encode(src)
-    assert np.abs(thm_mem.mem_left.data - base_mem.mem_left.data).max() < 1e-12
+    assert np.abs(thm_mem.states[0].data - base_mem.states[0].data).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,39 @@ def test_in_place_write_through_a_per_head_name_changes_encode():
         before = model.encode(src, src)
         model.params["enc.0.left.attn.h1.wv"].data[...] *= 2.0
         after = model.encode(src, src)
-    assert not np.allclose(after.mem_left.data, before.mem_left.data)
+    assert not np.allclose(after.states[0].data, before.states[0].data)
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+def test_all_pad_source_row_raises_mask_error(arch):
+    model = build_model(tiny_cfg(arch), Rng(31))
+    src = np.array([[5, 6, 2], [0, 0, 0]])
+    with pytest.raises(MaskError):
+        model.encode(*[src] * len(model.branches))
+    with pytest.raises(MaskError):
+        model.start_decode([[5, 6, 2], [0, 0]])
+
+
+def test_a_forward_pass_builds_each_mask_bias_once(monkeypatch):
+    # one source-key bias per encode, one causal bias per decode, none per step
+    built = []
+
+    def counting(disallowed, dtype, bias=attention._bias):
+        built.append(disallowed.shape)
+        return bias(disallowed, dtype)
+
+    monkeypatch.setattr(attention, "_bias", counting)
+    corpus = gen_synthetic("copy", 12, 4, (3, 5), Rng(0))
+    bpe = learn_bpe(corpus.lines(), 16)
+    model = build_model(tiny_cfg(dropout_p=0.1, vocab_size=bpe.vocab_size), Rng(32))
+    batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
+    model.loss_on_batch(batch, training=True, rng=Rng(13))
+    b, n, m = *batch.src.shape, batch.tgt_in.shape[-1]
+    assert built == [(b, 1, n), (m, m)]
+    state = model.start_decode(DECODE_SOURCES)
+    built.clear()
+    model.step_logprobs(state, [BOS_ID] * len(DECODE_SOURCES))
+    assert built == []
 
 
 @pytest.mark.parametrize("arch", ["thm", "transformer"])
@@ -456,6 +488,24 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(before, after)
     for name, p in model.params.items():
         assert np.array_equal(p.data, loaded.params[name].data)
+
+
+@pytest.mark.parametrize("change", ["missing", "extra", "reshape"])
+def test_checkpoint_not_matching_the_model_raises_naming_the_parameter(tmp_path, change):
+    model = build_model(tiny_cfg(), Rng(33))
+    params = {n: p.data for n, p in model.params.items()}
+    name = "dec.1.left.cross.h1.wk"
+    if change == "missing":
+        del params[name]
+    elif change == "extra":
+        name = "dec.2.ffn.w1"
+        params[name] = np.zeros((16, 32))
+    else:
+        params[name] = params[name][:, :-1]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model.config, 0, params)
+    with pytest.raises(DataError, match=re.escape(name)):
+        model_from_checkpoint(path)
 
 
 def test_checkpoint_magic_and_config_block(tmp_path):
