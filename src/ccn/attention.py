@@ -23,8 +23,9 @@ from .errors import DataError, MaskError, ShapeError
 from .tensor import (
     Tensor,
     add_const,
+    attention_core,
     matmul,
-    reshape,
+    project_heads,
     scale,
     softmax_rows,
     transpose,
@@ -178,10 +179,7 @@ def scaled_dot_attention(
 def split_heads(x: Tensor, params: MultiHeadParams, gate: str) -> Tensor:
     """(..., n, d) -> (..., h, n, width): one projection through the ``gate``
     weight ("w_q", "w_k" or "w_v"), heads on their own axis."""
-    w = getattr(params, gate)
-    y = matmul(x, w)
-    y = reshape(y, y.data.shape[:-1] + (params.n_heads, w.data.shape[-1] // params.n_heads))
-    return transpose(y, -3, -2)
+    return project_heads(x, getattr(params, gate), params.n_heads)
 
 
 def attend_heads(
@@ -193,12 +191,8 @@ def attend_heads(
     The keys and values may be projected once and reused, as incremental
     decoding does with the encoder memory and the earlier target positions.
     """
-    scores = matmul(qh, transpose(kh))
-    scores = scale(scores, 1.0 / math.sqrt(kh.data.shape[-1]))
-    if mask is not None:  # a batched (B, n or 1, m) bias gains a head axis
-        scores = add_const(scores, mask[..., None, :, :] if mask.ndim > 2 else mask)
-    out = transpose(matmul(softmax_rows(scores), vh), -3, -2)
-    return matmul(reshape(out, out.data.shape[:-2] + (params.w_o.data.shape[-2],)), params.w_o)
+    core = attention_core(qh, kh, vh, mask, 1.0 / math.sqrt(kh.data.shape[-1]))
+    return matmul(core, params.w_o)
 
 
 def multi_head(

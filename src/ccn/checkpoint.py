@@ -5,12 +5,17 @@ config block terminated by a blank line, then one record per parameter in
 model construction order: name length (uint32 LE), name bytes, rank
 (uint32 LE), each dimension (uint32 LE), raw little-endian float32 payload.
 Saving and loading a float32 model is bit-exact.
+
+Files are written through ``atomic_write``: a temporary file in the
+target's directory that replaces the target only once it is complete.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +40,26 @@ _CONFIG_FIELDS = (
 )
 
 
-def save_checkpoint(path, config: ModelConfig, step: int, params: dict[str, np.ndarray]):
+@contextmanager
+def atomic_write(path):
+    """A binary file handle whose contents replace ``path`` (``os.replace``)
+    once the block ends; if the block raises, the temporary file next to
+    ``path`` is removed and ``path`` is left as it was. There is no fsync:
+    this covers a writer that fails or is killed, not a power cut."""
     path = Path(path)
-    with open(path, "wb") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            tmp.unlink()
+        raise
+
+
+def save_checkpoint(path, config: ModelConfig, step: int, params: dict[str, np.ndarray]):
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(bytes([FORMAT_VERSION]))
         lines = [f"{key}={getattr(config, key)}" for key, _ in _CONFIG_FIELDS]
@@ -137,4 +159,7 @@ def save_model(path, model: Seq2SeqModel, step: int = 0):
 def model_from_checkpoint(path, dtype=np.float32) -> tuple[Seq2SeqModel, int]:
     """Rebuild a model from the stored parameters, which must match its names and shapes."""
     config, step, params = load_checkpoint(path)
-    return Seq2SeqModel(config, ParamStore(dtype, stored=params)), step
+    try:
+        return Seq2SeqModel(config, ParamStore(dtype, stored=params)), step
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -3,7 +3,9 @@
 The tape ops in ``tensor`` call the softmax and layer-norm kernels on 2-d
 row views; ``training`` calls ``adam_update`` once per parameter. Each
 kernel is a fixed sequence of whole-array numpy operations, so results are
-deterministic.
+deterministic. The layer-norm kernels reduce rows with ``np.add.reduce``
+(the sum ``ndarray.mean`` takes, without its Python wrapper) and reuse
+their temporaries in place.
 """
 
 from __future__ import annotations
@@ -28,22 +30,29 @@ def softmax_rows_bwd(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def layer_norm_fwd(x, gain, bias, eps):
-    mean = x.mean(axis=1, keepdims=True)
-    var = ((x - mean) ** 2).mean(axis=1, keepdims=True)
+    d = x.shape[1]
+    mean = np.add.reduce(x, axis=1, keepdims=True) / d
+    xc = x - mean
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    return xhat * gain + bias, xhat, inv_std[:, 0]
+    xc *= inv_std  # now xhat
+    y = xc * gain
+    y += bias
+    return y, xc, inv_std[:, 0]
 
 
 def layer_norm_bwd(dy, xhat, inv_std, gain):
+    d = dy.shape[1]
     dgain = (dy * xhat).sum(axis=0)
     dbias = dy.sum(axis=0)
     g = dy * gain
     # dx = inv_std * (g - mean(g) - xhat * mean(g * xhat)) per row
-    gm = g.mean(axis=1, keepdims=True)
-    gxm = (g * xhat).mean(axis=1, keepdims=True)
-    dx = inv_std[:, None] * (g - gm - xhat * gxm)
-    return dx, dgain, dbias
+    gm = np.add.reduce(g, axis=1, keepdims=True) / d
+    gxm = np.add.reduce(g * xhat, axis=1, keepdims=True) / d
+    g -= gm
+    g -= xhat * gxm
+    g *= inv_std[:, None]
+    return g, dgain, dbias
 
 
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):

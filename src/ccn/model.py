@@ -53,10 +53,12 @@ from .tensor import (
     dropout,
     embedding,
     layer_norm,
+    linear,
     matmul,
     no_grad,
     parameter,
     relu,
+    residual_norm,
     scale,
     transpose,
 )
@@ -255,13 +257,8 @@ def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
     return pe
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = matmul(x, w)
-    return add(y, b) if b is not None else y
-
-
 def _ffn(x: Tensor, p: FeedForwardParams) -> Tensor:
-    return _linear(relu(_linear(x, p.w1, p.b1)), p.w2, p.b2)
+    return linear(relu(linear(x, p.w1, p.b1)), p.w2, p.b2)
 
 
 def _norm(x: Tensor, p: NormParams) -> Tensor:
@@ -366,8 +363,9 @@ class Seq2SeqModel:
         return dropout(x, self.config.dropout_p, rng, training)
 
     def _sublayer(self, x: Tensor, sub_out: Tensor, norm: NormParams, training, rng) -> Tensor:
-        """Post-norm residual: layer_norm(x + dropout(sub_out))."""
-        return _norm(add(x, dropout(sub_out, self.config.dropout_p, rng, training)), norm)
+        """Post-norm residual: layer_norm(x + dropout(sub_out)), one tape op."""
+        p = self.config.dropout_p
+        return residual_norm(x, sub_out, p, rng, training, norm.gain, norm.bias, LAYER_NORM_EPS)
 
     def _ffn_sublayer(self, x: Tensor, sub: dict, training, rng) -> Tensor:
         return self._sublayer(x, _ffn(x, sub["ffn"]), sub["ffn_norm"], training, rng)
@@ -452,7 +450,7 @@ class Seq2SeqModel:
             if len(outs) == 1:
                 t = outs[0]
                 continue
-            merged = _linear(concat(outs, axis=-1), block["merge_w"], block["merge_b"])
+            merged = linear(concat(outs, axis=-1), block["merge_w"], block["merge_b"])
             u = self._sublayer(s, merged, block["merge_norm"], training, rng)
             t = self._ffn_sublayer(u, block, training, rng)
         if self.dec_blocks:

@@ -10,6 +10,14 @@ and the heads inside attention); the fused kernels flatten all leading axes
 into rows. Verification runs use float64, training float32. An op keeps
 its operand's dtype and casts constants to it; only the scalar loss of
 ``cross_entropy`` is float64.
+
+The model's sublayers run on four fused ops, each one tape node with one
+hand-written backward: ``linear`` (x @ w + b), ``project_heads`` (x @ w
+split into heads), ``attention_core`` (scores, scale, bias, softmax, values
+and head merge; only the probabilities are saved) and ``residual_norm``
+(layer_norm(x + dropout(y)), not keeping the sum). Each computes the same
+numbers, in the same order, as the composition of the plain ops it
+replaces.
 """
 
 from __future__ import annotations
@@ -195,8 +203,8 @@ def relu(a: Tensor) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product; operands may carry a leading batch dimension.
 
-    A 2-d ``b`` (a weight) is applied to all rows of ``a`` as one GEMM, and
-    its gradient is one GEMM over those rows; a batched ``b`` broadcasts.
+    A 2-d ``b`` (a weight) is ``linear``: one GEMM over all rows of ``a``,
+    forward and backward; a batched ``b`` broadcasts.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -204,16 +212,7 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
     if b.data.ndim == 2:
-        d, k = b.data.shape
-        rows = a.data.reshape(-1, d)
-        data = (rows @ b.data).reshape(a.data.shape[:-1] + (k,))
-
-        def backward(g):
-            g_rows = g.reshape(-1, k)
-            ga = (g_rows @ b.data.T).reshape(a.data.shape)
-            return ((a, ga), (b, rows.T @ g_rows))
-
-        return _make(data, (a, b), backward)
+        return linear(a, b)
 
     data = np.matmul(a.data, b.data)
 
@@ -225,21 +224,53 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def _weight_rows(x: Tensor, w: Tensor) -> np.ndarray:
+    """``x`` viewed as the (rows, d) left operand of the (d, k) weight ``w``."""
+    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1]:
+        raise ShapeError(f"weight {w.data.shape} does not apply to input {x.data.shape}")
+    return x.data.reshape(-1, w.data.shape[0])
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w + b as one node: the 2-d weight is one GEMM over all rows of
+    ``x``, forward and backward; ``b`` may be None."""
+    rows = _weight_rows(x, w)
+    k = w.data.shape[1]
+    data = (rows @ w.data).reshape(x.data.shape[:-1] + (k,))
+    if b is not None:
+        data += b.data
+
+    def backward(g):
+        g_rows = g.reshape(-1, k)
+        grads = ((x, (g_rows @ w.data.T).reshape(x.data.shape)), (w, rows.T @ g_rows))
+        # summed one leading axis at a time, as ``add`` sums it: one flat sum
+        # over the rows rounds differently in float32
+        return grads if b is None else grads + ((b, _unbroadcast(g, b.data.shape)),)
+
+    return _make(data, (x, w) if b is None else (x, w, b), backward)
+
+
+def project_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
+    """(..., n, d) -> (..., h, n, d_k) as one node: x @ w, whose j-th block
+    of d_k columns is head j, with the heads on their own axis."""
+    rows = _weight_rows(x, w)
+    k = w.data.shape[1]
+    split = x.data.shape[:-1] + (n_heads, k // n_heads)
+    data = (rows @ w.data).reshape(split).swapaxes(-3, -2)
+
+    def backward(g):
+        g_rows = g.swapaxes(-3, -2).reshape(-1, k)
+        return ((x, (g_rows @ w.data.T).reshape(x.data.shape)), (w, rows.T @ g_rows))
+
+    return _make(data, (x, w), backward)
+
+
 def transpose(a: Tensor, axis1: int = -1, axis2: int = -2) -> Tensor:
     """Swap two axes, by default the last two."""
-    data = np.swapaxes(a.data, axis1, axis2)
+    data = a.data.swapaxes(axis1, axis2)
 
     def backward(g):
-        return ((a, np.swapaxes(g, axis1, axis2)),)
-
-    return _make(data, (a,), backward)
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        return ((a, g.reshape(a.data.shape)),)
+        return ((a, g.swapaxes(axis1, axis2)),)
 
     return _make(data, (a,), backward)
 
@@ -247,15 +278,15 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        pieces = []
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        pieces, lo = [], 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
             idx = [slice(None)] * g.ndim
             idx[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
             pieces.append((t, g[tuple(idx)]))
+            lo = hi
         return tuple(pieces)
 
     return _make(data, tuple(tensors), backward)
@@ -294,37 +325,119 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize every row to zero mean / unit variance, then scale and shift."""
+def _layer_norm_rows(s: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
+    """Layer norm of every row of ``s``: the output, and a function from its
+    gradient to (ds, dgain, dbias). ``s`` itself is not kept."""
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
-    flat = _rows(a.data)
-    y, xhat, inv_std = kernels.layer_norm_fwd(flat, gain.data, bias.data, eps)
-    data = y.reshape(a.data.shape)
+    shape = s.shape
+    y, xhat, inv_std = kernels.layer_norm_fwd(_rows(s), gain.data, bias.data, eps)
+
+    def grads(g):
+        dx, dgain, dbias = kernels.layer_norm_bwd(_rows(g), xhat, inv_std, gain.data)
+        return dx.reshape(shape), dgain, dbias
+
+    return y.reshape(shape), grads
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize every row to zero mean / unit variance, then scale and shift."""
+    data, grads = _layer_norm_rows(a.data, gain, bias, eps)
 
     def backward(g):
-        dx, dgain, dbias = kernels.layer_norm_bwd(_rows(g), xhat, inv_std, gain.data)
-        return ((a, dx.reshape(a.data.shape)), (gain, dgain), (bias, dbias))
+        dx, dgain, dbias = grads(g)
+        return ((a, dx), (gain, dgain), (bias, dbias))
 
     return _make(data, (a, gain, bias), backward)
 
 
-def dropout(a: Tensor, p: float, rng: Rng | None, training: bool) -> Tensor:
-    """Zero elements with probability p and rescale survivors by 1/(1-p)."""
+def _dropout_mask(shape, dtype, p: float, rng: Rng | None, training: bool):
+    """Dropout's mask, 1/(1-p) where an element survives and 0 elsewhere, or
+    None when dropout is off (inference, or p = 0)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return a
+        return None
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = rng.uniform_at_least(a.data.shape, p)
-    mask = keep.astype(a.data.dtype) / np.asarray(1.0 - p, dtype=a.data.dtype)
+    keep = rng.uniform_at_least(shape, p)
+    return keep.astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
+
+
+def dropout(a: Tensor, p: float, rng: Rng | None, training: bool) -> Tensor:
+    """Zero elements with probability p and rescale survivors by 1/(1-p)."""
+    mask = _dropout_mask(a.data.shape, a.data.dtype, p, rng, training)
+    if mask is None:
+        return a
     data = a.data * mask
 
     def backward(g):
         return ((a, g * mask),)
 
     return _make(data, (a,), backward)
+
+
+def residual_norm(
+    x: Tensor, y: Tensor, p: float, rng: Rng | None, training: bool, gain: Tensor, bias: Tensor, eps: float
+) -> Tensor:
+    """layer_norm(x + dropout(y)) as one node: the post-norm residual
+    sublayer with residual dropout (Vaswani et al. 2017, sections 3.1 and
+    5.4). The mask is drawn as ``dropout`` draws it; the sum x + dropout(y)
+    is not kept."""
+    mask = _dropout_mask(y.data.shape, y.data.dtype, p, rng, training)
+    if mask is None:
+        s = x.data + y.data
+    else:
+        s = y.data * mask
+        s += x.data
+    data, grads = _layer_norm_rows(s, gain, bias, eps)
+
+    def backward(g):
+        ds, dgain, dbias = grads(g)
+        return ((x, ds), (y, ds if mask is None else ds * mask), (gain, dgain), (bias, dbias))
+
+    return _make(data, (x, y, gain, bias), backward)
+
+
+def attention_core(qh: Tensor, kh: Tensor, vh: Tensor, bias: np.ndarray | None, scale: float) -> Tensor:
+    """softmax(qh kh^T * scale + bias) vh with the heads merged, as one node.
+
+    ``qh`` is (..., h, n, d_k) and ``kh``, ``vh`` are (..., h, m, d_k); the
+    result is (..., n, h * d_k), head j in the j-th block of d_k features.
+    ``bias`` is None, an additive (n or 1, m) bias, or a batched
+    (B, n or 1, m) bias, which gains the head axis. The scale is cast to the
+    operands' dtype. Only the probabilities are saved for the backward pass.
+    """
+    if qh.data.shape[-1] != kh.data.shape[-1] or kh.data.shape[-2] != vh.data.shape[-2]:
+        raise ShapeError(
+            f"attention operands disagree: q {qh.data.shape}, k {kh.data.shape}, v {vh.data.shape}"
+        )
+    c = qh.data.dtype.type(scale)
+    scores = np.matmul(qh.data, kh.data.swapaxes(-1, -2))
+    scores *= c
+    if bias is not None:
+        scores += np.asarray(bias[..., None, :, :] if bias.ndim > 2 else bias, dtype=scores.dtype)
+    y = kernels.softmax_rows_fwd(_rows(scores))
+    probs = y.reshape(scores.shape)
+    merged = np.matmul(probs, vh.data).swapaxes(-3, -2)
+    data = merged.reshape(merged.shape[:-2] + (-1,))
+    split = merged.shape  # the backward keeps shapes, not the scores or the unmerged output
+
+    def backward(g):
+        g_out = g.reshape(split).swapaxes(-3, -2)
+        g_probs = np.matmul(g_out, vh.data.swapaxes(-1, -2))
+        g_v = np.matmul(probs.swapaxes(-1, -2), g_out)
+        g_scores = kernels.softmax_rows_bwd(y, _rows(g_probs)).reshape(probs.shape)
+        g_scores *= c
+        g_q = np.matmul(g_scores, kh.data)
+        g_k = np.matmul(qh.data.swapaxes(-1, -2), g_scores).swapaxes(-1, -2)
+        return (
+            (qh, _unbroadcast(g_q, qh.data.shape)),
+            (kh, _unbroadcast(g_k, kh.data.shape)),
+            (vh, _unbroadcast(g_v, vh.data.shape)),
+        )
+
+    return _make(data, (qh, kh, vh), backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .bpe import BpeModel
-from .checkpoint import model_from_checkpoint, save_model
+from .checkpoint import atomic_write, model_from_checkpoint, save_model
 from .data import Batch, ParallelCorpus, make_batches
 from .errors import DataError, DivergenceError, read_text
 from .evaluation import corpus_bleu, translate_corpus
@@ -62,7 +62,8 @@ class TrainState:
         arrays = {f"m/{n}": a for n, a in self.m.items()}
         arrays |= {f"v/{n}": a for n, a in self.v.items()}
         arrays["meta"] = np.array([self.step, self.epoch, self.best_dev_bleu], dtype=np.float64)
-        np.savez(path, **arrays)
+        with atomic_write(path) as fh:
+            np.savez(fh, **arrays)
 
     @classmethod
     def load(cls, path) -> "TrainState":

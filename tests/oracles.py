@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used by the tests.
 
 These deliberately re-derive results from definitions, sharing no code with
-the library paths they certify.
+the library paths they certify. Two helpers ride along: ``tape_ops`` counts
+the nodes of a tape, and ``FailingArray`` makes a file write fail midway.
 """
 
 import math
@@ -11,6 +12,32 @@ import numpy as np
 
 from ccn.attention import MultiHeadParams
 from ccn.tensor import Tensor
+
+
+class FailingArray:
+    """An array whose conversion raises, as a full disk would in the middle
+    of a write; it records the names in ``directory`` as they were then."""
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.seen = None
+
+    def __array__(self, *args, **kwargs):
+        self.seen = sorted(p.name for p in self.directory.iterdir())
+        raise OSError("No space left on device")
+
+
+def tape_ops(out: Tensor) -> int:
+    """Op nodes (those with parents, not leaves) reachable from ``out``."""
+    seen, stack, ops = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops += bool(node._parents)
+        stack.extend(node._parents)
+    return ops
 
 
 def fuse_heads(heads, w_o, leaf=Tensor):

@@ -22,7 +22,7 @@ from ccn.attention import (
 from ccn.errors import DataError, MaskError, ShapeError
 from ccn.gradcheck import finite_diff_check
 
-from oracles import fuse_heads
+from oracles import fuse_heads, tape_ops
 
 
 def _head(rng, d, d_k=None, d_v=None):
@@ -308,19 +308,6 @@ def test_multi_head_matches_per_head_oracle_values_and_gradients(batched, mask_k
         assert np.abs(g_got - g_want).max() < 1e-10, leaf.name
 
 
-def _tape_ops(out: T.Tensor) -> int:
-    """Op nodes (those with parents, not leaves) reachable from ``out``."""
-    seen, stack, ops = set(), [out], 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        ops += bool(node._parents)
-        stack.extend(node._parents)
-    return ops
-
-
 def test_multi_head_tape_ops_do_not_grow_with_heads():
     rng = np.random.default_rng(21)
     d = 16
@@ -328,7 +315,7 @@ def test_multi_head_tape_ops_do_not_grow_with_heads():
     for n_heads in (1, 2, 4, 8):
         params, _ = _trainable_mha(rng, d, n_heads)
         x = T.parameter("x", rng.normal(size=(2, 5, d)))
-        counts.append(_tape_ops(multi_head(x, x, x, params, causal_mask(5, np.float64))))
+        counts.append(tape_ops(multi_head(x, x, x, params, causal_mask(5, np.float64))))
     assert len(set(counts)) == 1, counts
 
 

@@ -239,7 +239,23 @@ def test_translate_checkpoint_lacking_a_parameter_exits_two(capsys, tmp_path):
     )
     assert code == 2
     assert out == ""
-    assert "dec.0.self_attn.wo" in err
+    assert f"{ckpt}: checkpoint parameters do not match the model: ['dec.0.self_attn.wo']" in err
+    assert "Traceback" not in err
+
+
+def test_translate_checkpoint_with_a_misshapen_parameter_exits_two_naming_the_file(capsys, tmp_path):
+    data, vocab = _tiny_data(capsys, tmp_path)
+    model = build_model(replace(preset("tiny"), vocab_size=load_bpe(vocab).vocab_size), Rng(0))
+    params = {n: p.data for n, p in model.params.items()}
+    params["dec.0.self_attn.wo"] = params["dec.0.self_attn.wo"][:, :-1]
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model.config, 0, params)
+    code, out, err = run_cli(
+        capsys, "translate", "--ckpt", str(ckpt), "--bpe", str(vocab), "--src", str(data / "dev.src"),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{ckpt}: checkpoint shape mismatch for dec.0.self_attn.wo" in err
     assert "Traceback" not in err
 
 

@@ -1,8 +1,10 @@
 """Per-operation analytic gradients vs central finite differences (64-bit)."""
 
 import numpy as np
+import pytest
 
 from ccn import tensor as T
+from ccn.attention import causal_mask, padding_mask
 from ccn.gradcheck import finite_diff_check
 from ccn.rng import Rng
 
@@ -97,3 +99,64 @@ def test_grad_shared_parameter_two_consumers():
     z = T.parameter("z", rng.normal(size=(3, 4)))
     c = T.Tensor(rng.normal(size=(3, 4)))
     _check(lambda: T.mean_all(T.add(T.add(z, c), T.add(z, z))), {"z": z})
+
+
+# ---------------------------------------------------------------------------
+# fused sublayer ops
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 3, 5)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_grad_linear(x_shape, with_bias):
+    rng = np.random.default_rng(11)
+    x = T.parameter("x", rng.normal(size=x_shape))
+    w = T.parameter("w", rng.normal(size=(5, 3)))
+    b = T.parameter("b", rng.normal(size=(3,))) if with_bias else None
+    weights = T.Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+    params = {"x": x, "w": w} | ({"b": b} if with_bias else {})
+    _check(lambda: T.mean_all(T.mul(T.linear(x, w, b), weights)), params)
+
+
+def test_grad_project_heads():
+    rng = np.random.default_rng(12)
+    x = T.parameter("x", rng.normal(size=(2, 3, 4)))
+    w = T.parameter("w", rng.normal(size=(4, 6)))
+    weights = T.Tensor(rng.normal(size=(2, 2, 3, 3)))
+    _check(lambda: T.mean_all(T.mul(T.project_heads(x, w, 2), weights)), {"x": x, "w": w})
+
+
+@pytest.mark.parametrize("bias", ["none", "causal", "padding"])
+def test_grad_attention_core(bias):
+    rng = np.random.default_rng(13)
+    b, h, n, m, d_k = 2, 2, 4, 4 if bias == "causal" else 5, 3
+    qh = T.parameter("qh", rng.normal(size=(b, h, n, d_k)))
+    kh = T.parameter("kh", rng.normal(size=(b, h, m, d_k)))
+    vh = T.parameter("vh", rng.normal(size=(b, h, m, d_k)))
+    bias_array = {
+        "none": None,
+        "causal": causal_mask(n, np.float64),
+        "padding": padding_mask(np.array([[0, 0, 0, 1, 1], [0, 0, 0, 0, 0]]), np.float64),
+    }[bias]
+    weights = T.Tensor(rng.normal(size=(b, n, h * d_k)))
+    _check(
+        lambda: T.mean_all(T.mul(T.attention_core(qh, kh, vh, bias_array, 0.5), weights)),
+        {"qh": qh, "kh": kh, "vh": vh},
+    )
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+def test_grad_residual_norm(p):
+    rng = np.random.default_rng(14)
+    x = T.parameter("x", rng.normal(size=(2, 3, 6)))
+    y = T.parameter("y", rng.normal(size=(2, 3, 6)))
+    gain = T.parameter("gain", rng.normal(size=(6,)) + 1.0)
+    bias = T.parameter("bias", rng.normal(size=(6,)))
+    weights = T.Tensor(rng.normal(size=(2, 3, 6)))
+
+    def build():
+        # a fresh Rng per evaluation draws the same mask every time
+        out = T.residual_norm(x, y, p, Rng(11), True, gain, bias, 1e-5)
+        return T.mean_all(T.mul(out, weights))
+
+    _check(build, {"x": x, "y": y, "gain": gain, "bias": bias})

@@ -22,6 +22,7 @@ from ccn.model import (
 )
 from ccn.rng import Rng
 from ccn.tensor import mean_all, no_grad
+from oracles import FailingArray, tape_ops
 
 
 def tiny_cfg(arch="thm", **over):
@@ -466,6 +467,20 @@ def test_decode_state_stays_in_the_model_dtype(arch, dtype):
         assert {x.data.dtype for x in cached} == {np.dtype(dtype)}
 
 
+@pytest.mark.parametrize("name, expected", [("tiny", 124), ("transformer-tiny", 65)])
+def test_tape_ops_per_tiny_training_step(name, expected):
+    # one node per linear, head projection, attention core and residual + norm
+    rng = Rng(1)
+    train = gen_synthetic("copy", 20, 50, (3, 12), rng.fork("train"))
+    bpe = learn_bpe(train.lines(), 28)
+    cfg = replace(preset(name), vocab_size=bpe.vocab_size)
+    batch = make_batches(train, bpe, 512, Rng(4), swap_prob=cfg.swap_prob)[0]
+    loss = build_model(cfg, Rng(3)).loss_on_batch(batch, training=True, rng=Rng(5))
+    ops = tape_ops(loss)
+    assert ops <= 180
+    assert ops == expected
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -504,8 +519,21 @@ def test_checkpoint_not_matching_the_model_raises_naming_the_parameter(tmp_path,
         params[name] = params[name][:, :-1]
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model.config, 0, params)
-    with pytest.raises(DataError, match=re.escape(name)):
+    with pytest.raises(DataError, match=re.escape(name)) as err:
         model_from_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: checkpoint ")
+
+
+def test_checkpoint_write_failing_midway_leaves_the_previous_file(tmp_path):
+    path, blob, model = _saved_blob(tmp_path)
+    items = [(n, p.data) for n, p in model.params.items()]
+    failing = FailingArray(tmp_path)
+    items.insert(len(items) // 2, ("fails", failing))
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, model.config, 4, dict(items))
+    assert len(failing.seen) == 2  # the checkpoint and a temporary file beside it
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_checkpoint_magic_and_config_block(tmp_path):

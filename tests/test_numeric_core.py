@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccn import tensor as T
+from ccn.attention import causal_mask, padding_mask
 from ccn.errors import DataError, DeterminismError, ShapeError, VocabError
 from ccn.gradcheck import finite_diff_check
 from ccn.rng import Rng
@@ -81,9 +82,10 @@ def test_matmul_transposed_view_weight_gradient():
     assert np.abs(table.grad - np.einsum("biv,bij->vj", g, h.data)).max() < 1e-12
 
 
-def test_reshape_and_axis_transpose_route_gradients_back():
+def test_project_heads_split_and_axis_transpose_route_gradients_back():
+    # an identity weight leaves only the head split: reshape, then swap axes
     x = T.parameter("x", np.arange(24.0).reshape(2, 3, 4))
-    y = T.transpose(T.reshape(x, (2, 3, 2, 2)), -3, -2)
+    y = T.project_heads(x, T.Tensor(np.eye(4)), 2)
     assert y.data.shape == (2, 2, 3, 2)
     assert np.array_equal(y.data, np.arange(24.0).reshape(2, 3, 2, 2).swapaxes(1, 2))
     weights = np.arange(24.0).reshape(2, 2, 3, 2)
@@ -347,3 +349,131 @@ def test_random_ops_all_finite():
         T.matmul(x, T.transpose(x)),
     ):
         assert np.all(np.isfinite(out.data))
+
+
+# ---------------------------------------------------------------------------
+# fused sublayer ops against their unfused compositions, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _leaves(rng, dtype, **shapes):
+    return {name: T.parameter(name, rng.normal(size=shape).astype(dtype)) for name, shape in shapes.items()}
+
+
+def _value_and_grads(out, weights, leaves):
+    """out's data, then each leaf's gradient of mean(out * weights)."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    T.mean_all(T.mul(out, T.Tensor(weights))).backward()
+    return [out.data] + [leaf.grad.copy() for leaf in leaves]
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+DTYPES = [np.float32, np.float64]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 3, 5)])
+def test_linear_equals_matmul_plus_bias_exactly(dtype, x_shape):
+    # without a bias, matmul by a 2-d weight is linear itself
+    rng = np.random.default_rng(30)
+    p = _leaves(rng, dtype, x=x_shape, w=(5, 7), b=(7,))
+    leaves = [p["x"], p["w"], p["b"]]
+    weights = rng.normal(size=x_shape[:-1] + (7,)).astype(dtype)
+    got = _value_and_grads(T.linear(p["x"], p["w"], p["b"]), weights, leaves)
+    want = _value_and_grads(T.add(T.matmul(p["x"], p["w"]), p["b"]), weights, leaves)
+    _assert_all_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_project_heads_equals_matmul_then_head_split_exactly(dtype):
+    rng = np.random.default_rng(31)
+    p = _leaves(rng, dtype, x=(2, 3, 8), w=(8, 6))
+    leaves = [p["x"], p["w"]]
+    weights = rng.normal(size=(2, 2, 3, 3)).astype(dtype)
+    got = _value_and_grads(T.project_heads(p["x"], p["w"], 2), weights, leaves)
+    # the head split is a numpy reshape and axis swap of the matmul
+    product = T.matmul(p["x"], p["w"])
+    want = _value_and_grads(product, weights.swapaxes(1, 2).reshape(2, 3, 6), leaves)
+    want[0] = product.data.reshape(2, 3, 2, 3).swapaxes(1, 2)
+    _assert_all_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("bias", ["none", "causal", "padding"])
+def test_attention_core_equals_the_unfused_attention_exactly(dtype, bias):
+    rng = np.random.default_rng(32)
+    b, h, n, m, d_k = 2, 3, 4, 4 if bias == "causal" else 5, 2
+    p = _leaves(rng, dtype, qh=(b, h, n, d_k), kh=(b, h, m, d_k), vh=(b, h, m, d_k))
+    leaves = [p["qh"], p["kh"], p["vh"]]
+    bias_array = {
+        "none": None,
+        "causal": causal_mask(n, dtype),
+        "padding": padding_mask(np.array([[0, 0, 0, 1, 1], [0, 0, 0, 0, 0]]), dtype),
+    }[bias]
+    scale = 1.0 / np.sqrt(d_k)
+    weights = rng.normal(size=(b, n, h * d_k)).astype(dtype)
+    got = _value_and_grads(T.attention_core(p["qh"], p["kh"], p["vh"], bias_array, scale), weights, leaves)
+    scores = T.scale(T.matmul(p["qh"], T.transpose(p["kh"])), scale)
+    if bias_array is not None:
+        scores = T.add_const(scores, bias_array[:, None] if bias_array.ndim > 2 else bias_array)
+    heads = T.transpose(T.matmul(T.softmax_rows(scores), p["vh"]), -3, -2)
+    want = _value_and_grads(heads, weights.reshape(b, n, h, d_k), leaves)
+    want[0] = heads.data.reshape(b, n, h * d_k)
+    _assert_all_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("p_drop", [0.0, 0.3])
+def test_residual_norm_equals_layer_norm_of_the_dropout_sum_exactly(dtype, p_drop):
+    rng = np.random.default_rng(33)
+    p = _leaves(rng, dtype, x=(2, 5, 8), y=(2, 5, 8), gain=(8,), bias=(8,))
+    leaves = [p["x"], p["y"], p["gain"], p["bias"]]
+    weights = rng.normal(size=(2, 5, 8)).astype(dtype)
+    fused = T.residual_norm(p["x"], p["y"], p_drop, Rng(5), True, p["gain"], p["bias"], 1e-5)
+    got = _value_and_grads(fused, weights, leaves)
+    dropped = T.dropout(p["y"], p_drop, Rng(5), training=True)
+    unfused = T.layer_norm(T.add(p["x"], dropped), p["gain"], p["bias"], 1e-5)
+    _assert_all_equal(got, _value_and_grads(unfused, weights, leaves))
+
+
+def test_residual_norm_draws_the_dropout_mask_and_advances_the_rng_as_dropout_does():
+    a, b = Rng(8), Rng(8)
+    x, y = T.Tensor(np.zeros((3, 4))), T.Tensor(np.ones((3, 4)))
+    one, zero = T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))
+    T.residual_norm(x, y, 0.5, a, True, one, zero, 1e-5)
+    T.dropout(y, 0.5, b, training=True)
+    assert np.array_equal(a.uniform((5,)), b.uniform((5,)))
+
+
+def test_residual_norm_rejects_what_dropout_and_layer_norm_reject():
+    x = T.Tensor(np.zeros((2, 4)))
+    one, zero = T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))
+    for p in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="dropout probability"):
+            T.residual_norm(x, x, p, Rng(0), True, one, zero, 1e-5)
+    with pytest.raises(ValueError, match="needs an rng"):
+        T.residual_norm(x, x, 0.1, None, True, one, zero, 1e-5)
+    with pytest.raises(ValueError, match="dropout in training mode needs an rng"):
+        T.dropout(x, 0.1, None, training=True)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        T.residual_norm(x, x, 0.0, None, False, one, zero, 0.0)
+
+
+def test_fused_ops_raise_shape_error_on_mismatched_operands():
+    def z(*shape):
+        return T.Tensor(np.zeros(shape))
+
+    with pytest.raises(ShapeError):
+        T.linear(z(3, 4), z(5, 2))
+    with pytest.raises(ShapeError):
+        T.project_heads(z(3, 4), z(5, 6), 2)
+    with pytest.raises(ShapeError):  # query and key widths differ
+        T.attention_core(z(2, 3, 4), z(2, 5, 3), z(2, 5, 4), None, 0.5)
+    with pytest.raises(ShapeError):  # keys and values differ in length
+        T.attention_core(z(2, 3, 4), z(2, 5, 4), z(2, 6, 4), None, 0.5)

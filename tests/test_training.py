@@ -21,6 +21,7 @@ from ccn.training import (
     topk_selection,
     train_step,
 )
+from oracles import FailingArray
 
 SMALL = ModelConfig(
     arch="thm", d_model=16, n_heads=2, n_blocks=1, d_ff=32, vocab_size=16,
@@ -290,6 +291,19 @@ def test_state_file_with_any_byte_flipped_loads_or_raises_data_error(tmp_path, m
         except DataError as exc:
             assert str(path) in str(exc)
     assert 0 < loaded < len(blob)
+
+
+def test_state_write_failing_midway_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "epoch001.state.npz"
+    ones = np.ones((2, 3), dtype=np.float32)
+    TrainState(step=3, epoch=1, best_dev_bleu=2.5, m={"w": ones}, v={"w": 2 * ones}).save(path)
+    blob = path.read_bytes()
+    failing = FailingArray(tmp_path)
+    with pytest.raises(OSError, match="No space left"):
+        TrainState(step=4, epoch=2, m={"w": ones, "x": failing}, v={"w": ones}).save(path)
+    assert len(failing.seen) == 2  # the state file and a temporary file beside it
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def _acceptance_11_setup():
