@@ -305,7 +305,7 @@ def _cmd_param_count(args) -> int:
 
 
 def _cmd_select_model(args) -> int:
-    records = RunRecord.from_log(read_text(args.log))
+    records = RunRecord.from_log(read_text(args.log), args.log)
     best = select_best(records)
     print(f"best_epoch {best}")
     if args.k is not None:
@@ -325,7 +325,7 @@ plot 'loss.dat' using 1:2 with linespoints title 'train loss', \\
 
 
 def _cmd_plot_loss(args) -> int:
-    records = RunRecord.from_log(read_text(args.log))
+    records = RunRecord.from_log(read_text(args.log), args.log)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "loss.dat", "w", encoding="utf-8") as fh:

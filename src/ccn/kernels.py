@@ -1,16 +1,22 @@
 """Hot numeric kernels in plain numpy.
 
 The tape ops in ``tensor`` call the softmax and layer-norm kernels on 2-d
-row views; ``training`` calls ``adam_update`` once per parameter. Each
-kernel is a fixed sequence of whole-array numpy operations, so results are
-deterministic. The layer-norm kernels reduce rows with ``np.add.reduce``
-(the sum ``ndarray.mean`` takes, without its Python wrapper) and reuse
-their temporaries in place.
+row views; ``training`` calls ``adam_update`` once per step, over the flat
+parameter, gradient and moment arenas. Each kernel is a fixed sequence of
+numpy operations, so results are deterministic. The layer-norm kernels
+reduce rows with ``np.add.reduce`` (the sum ``ndarray.mean`` takes, without
+its Python wrapper) and reuse their temporaries in place.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# elements per ``adam_update`` block: two float32 scratch blocks stay in L2,
+# where whole-buffer temporaries would be fresh allocations faulted in anew
+ADAM_BLOCK = 1 << 14
 
 
 def active_backend() -> str:
@@ -56,11 +62,37 @@ def layer_norm_bwd(dy, xhat, inv_std, gain):
 
 
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
-    """In-place Adam step on one parameter and its moment buffers."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
+    """In-place Adam step on a parameter array and its moment buffers.
+
+    Walks the operands along their first axis, about ``ADAM_BLOCK``
+    elements at a time, through two scratch blocks written with ``out=``.
+    Each element sees the operations of the one-shot step, in its order:
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    so the result is bit-identical to it. The scalars are Python floats.
+    """
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    row = math.prod(p.shape[1:])
+    rows = max(1, ADAM_BLOCK // max(1, row))
+    scratch = np.empty((2, min(len(p), rows) * row), dtype=np.result_type(g, lr))
+    for lo in range(0, len(p), rows):
+        pb, gb, mb, vb = (x[lo : lo + rows] for x in (p, g, m, v))
+        a, b = (s[: pb.size].reshape(pb.shape) for s in scratch)
+        mb *= beta1
+        np.multiply(1.0 - beta1, gb, out=a)
+        mb += a
+        vb *= beta2
+        np.multiply(1.0 - beta2, gb, out=a)
+        a *= gb
+        vb += a
+        np.divide(mb, bc1, out=a)
+        np.multiply(lr, a, out=a)
+        np.divide(vb, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        pb -= a

@@ -26,6 +26,7 @@ the whole prefix and is the reference the cached path is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +57,6 @@ from .tensor import (
     linear,
     matmul,
     no_grad,
-    parameter,
     relu,
     residual_norm,
     scale,
@@ -132,14 +132,25 @@ class ParamStore:
     """Creates named parameters in a fixed order (the checkpoint order),
     each drawn from ``rng`` or, given ``stored`` arrays (a loaded
     checkpoint), taken by name; ``finish`` returns them once the model is
-    built. A parameter's ``.data`` and ``.grad`` may be views of a fused
-    leaf (``fuse``): parameter arrays are written in place, never rebound."""
+    built.
+
+    ``finish`` also lays out the flat arenas ``data`` and ``grad``: every
+    storage leaf (each parameter, or the leaf a ``fuse`` made of several)
+    takes a contiguous slice of both, in creation order, and each
+    parameter's ``.data`` and ``.grad`` become views of them. ``places``
+    maps each parameter name to where it sits, so that ``arena_view`` cuts
+    the same view out of any buffer of that layout. Parameter arrays are
+    written in place, never rebound."""
 
     def __init__(self, dtype, rng: Rng | None = None, stored: dict[str, np.ndarray] | None = None):
         self.dtype = np.dtype(dtype)
         self.rng = rng
         self.stored = stored
         self.params: dict[str, Tensor] = {}
+        self.leaves: dict[str, Tensor] = {}  # storage leaves, in arena order
+        self.parts: dict[str, tuple[str, slice]] = {}  # fused parameter -> (leaf, its columns)
+        self.places: dict[str, tuple[int, tuple, slice]] = {}  # set by finish
+        self.data = self.grad = None
 
     def _register(self, name: str, shape: tuple, draw) -> Tensor:
         if name in self.params:
@@ -152,15 +163,29 @@ class ParamStore:
             data = self.stored[name]
             if data.shape != shape:
                 raise DataError(f"checkpoint shape mismatch for {name}: {data.shape} vs {shape}")
-        p = parameter(name, data.astype(self.dtype, copy=False))
-        self.params[name] = p
+        p = Tensor(data.astype(self.dtype, copy=False), requires_grad=True, name=name)
+        self.params[name] = self.leaves[name] = p
         return p
 
     def finish(self) -> dict[str, Tensor]:
-        """The parameters in creation order; stored arrays no parameter took raise."""
+        """The parameters in creation order, moved into the arenas; stored
+        arrays no parameter took raise."""
         extra = set(self.stored or ()) - set(self.params)
         if extra:
             raise DataError(f"checkpoint parameters do not match the model: {sorted(extra)[:5]}")
+        places, size = {}, 0
+        for name, leaf in self.leaves.items():
+            places[name] = (size, leaf.data.shape, slice(None))
+            size += leaf.data.size
+        for name, (leaf, cols) in self.parts.items():
+            places[name] = (*places[leaf][:2], cols)
+        self.data, self.grad = np.empty(size, self.dtype), np.zeros(size, self.dtype)
+        for name, t in (self.leaves | self.params).items():
+            data = arena_view(self.data, places[name])
+            if name in self.params:
+                data[...] = t.data
+            t.data, t.grad = data, arena_view(self.grad, places[name])
+        self.places = {n: places[n] for n in self.params}
         return self.params
 
     def xavier(self, name: str, fan_in: int, fan_out: int) -> Tensor:
@@ -180,15 +205,25 @@ class ParamStore:
         return self._register(name, shape, lambda: np.ones(shape))
 
     def fuse(self, name: str, parts: list[Tensor]) -> Tensor:
-        """One leaf holding ``parts`` side by side along the last axis; each
-        part's ``.data`` and ``.grad`` become views of its columns."""
-        leaf = parameter(name, np.concatenate([p.data for p in parts], axis=-1))
+        """One storage leaf holding ``parts`` side by side along the last
+        axis; ``finish`` writes each part into its columns and makes the
+        part's ``.data`` and ``.grad`` views of them."""
+        shape = (*parts[0].data.shape[:-1], sum(p.data.shape[-1] for p in parts))
+        leaf = Tensor(np.empty(shape, self.dtype), requires_grad=True, name=name)
         lo = 0
         for p in parts:
-            cols = slice(lo, lo + p.data.shape[-1])
-            p.data, p.grad = leaf.data[..., cols], leaf.grad[..., cols]
-            lo = cols.stop
+            del self.leaves[p.name]
+            self.parts[p.name] = (name, slice(lo, lo + p.data.shape[-1]))
+            lo += p.data.shape[-1]
+        self.leaves[name] = leaf
         return leaf
+
+
+def arena_view(flat: np.ndarray, place: tuple[int, tuple, slice]) -> np.ndarray:
+    """The view of ``flat``, a buffer in an arena layout, at ``place``: the
+    storage leaf of that shape from offset ``lo``, cut to ``cols``."""
+    lo, shape, cols = place
+    return flat[lo : lo + math.prod(shape)].reshape(shape)[..., cols]
 
 
 @dataclass
@@ -335,13 +370,18 @@ class Seq2SeqModel:
             }
             self.dec_final = _make_norm(store, "dec.final_norm", d)
         self.params = store.finish()
+        self.param_arena, self.grad_arena = store.data, store.grad
+        self.places = store.places
+
+    def arena_views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-parameter views of ``flat``, a buffer laid out like ``param_arena``."""
+        return {n: arena_view(flat, place) for n, place in self.places.items()}
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
 
     def zero_grads(self):
-        for p in self.params.values():
-            p.zero_grad()
+        self.grad_arena.fill(0)
 
     def _check_len(self, length: int, what: str):
         if length > self.config.max_len:

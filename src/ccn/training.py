@@ -1,5 +1,7 @@
-"""Optimization loop: warmup/inverse-sqrt schedule, Adam updates, per-epoch
-checkpoints, the dev-BLEU selection rule, and the top-k selection metric.
+"""Optimization loop: warmup/inverse-sqrt schedule, Adam updates (one pass
+over the model's flat parameter, gradient and moment arenas per step),
+per-epoch checkpoints, the dev-BLEU selection rule, and the top-k selection
+metric.
 
 Per-epoch randomness (batch order, corruption, dropout) is derived from
 (seed, epoch) alone, so resuming from the checkpoint written at any epoch
@@ -45,18 +47,36 @@ class TrainParams:
 
 @dataclass
 class TrainState:
+    """Step counters and the Adam moments, per parameter name.
+
+    A state made by ``for_model`` also holds each moment as one flat buffer
+    in the model's arena layout (``m_arena``, ``v_arena``), and ``m`` and
+    ``v`` are views of them; ``train_step`` needs those buffers. A state
+    read by ``load`` holds plain per-name arrays until ``for_model`` takes
+    it in.
+    """
+
     step: int = 0
     epoch: int = 0
     best_dev_bleu: float = -1.0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    m_arena: np.ndarray | None = None
+    v_arena: np.ndarray | None = None
 
     @classmethod
-    def for_model(cls, model: Seq2SeqModel) -> "TrainState":
-        return cls(
-            m={n: np.zeros_like(p.data) for n, p in model.params.items()},
-            v={n: np.zeros_like(p.data) for n, p in model.params.items()},
-        )
+    def for_model(cls, model: Seq2SeqModel, loaded: "TrainState | None" = None) -> "TrainState":
+        """Zero moments in ``model``'s arena layout; given ``loaded`` (which
+        must pass ``check_matches``), its counters and moments copied in."""
+        m, v = np.zeros_like(model.param_arena), np.zeros_like(model.param_arena)
+        state = cls(m=model.arena_views(m), v=model.arena_views(v), m_arena=m, v_arena=v)
+        if loaded is not None:
+            state.step, state.epoch = loaded.step, loaded.epoch
+            state.best_dev_bleu = loaded.best_dev_bleu
+            for mine, theirs in ((state.m, loaded.m), (state.v, loaded.v)):
+                for name, a in mine.items():
+                    a[...] = theirs[name]
+        return state
 
     def save(self, path):
         arrays = {f"m/{n}": a for n, a in self.m.items()}
@@ -104,7 +124,12 @@ def train_step(
     hp: TrainParams,
     rng: Rng,
 ) -> float:
-    """One optimizer update over a batch (or accumulated micro-batches)."""
+    """One optimizer update over a batch (or accumulated micro-batches).
+
+    The gradients of micro-batches add up in the model's gradient arena,
+    which is scaled to their mean in place; Adam is one pass over the
+    arenas. ``state`` must come from ``TrainState.for_model(model)``.
+    """
     micro = [batches] if isinstance(batches, Batch) else list(batches)
     model.zero_grads()
     total_loss, total_tokens = 0.0, 0
@@ -118,12 +143,12 @@ def train_step(
         total_tokens += b.n_tokens
     state.step += 1
     lr = hp.lr_scale * lr_at(state.step, model.config.d_model, hp.warmup)
-    inv = 1.0 / len(micro)
-    for name, p in model.params.items():
-        g = p.grad if len(micro) == 1 else p.grad * inv
-        kernels.adam_update(
-            p.data, g, state.m[name], state.v[name], lr, hp.beta1, hp.beta2, hp.eps, state.step
-        )
+    if len(micro) > 1:
+        model.grad_arena *= 1.0 / len(micro)
+    kernels.adam_update(
+        model.param_arena, model.grad_arena, state.m_arena, state.v_arena,
+        lr, hp.beta1, hp.beta2, hp.eps, state.step,
+    )
     return total_loss / total_tokens
 
 
@@ -155,13 +180,19 @@ class RunRecord:
         )
 
     @classmethod
-    def from_log(cls, text: str) -> "RunRecord":
+    def from_log(cls, text: str, path=None) -> "RunRecord":
+        """Parse ``to_log`` text; a malformed or out-of-order row raises
+        DataError naming ``path`` (when given) and the line."""
         rec = cls()
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            e, t, v, d, b = line.split()
-            rec.add(int(e), float(t), float(v), float(d), float(b))
+            try:
+                e, t, v, d, b = line.split()
+                rec.add(int(e), float(t), float(v), float(d), float(b))
+            except (ValueError, DataError) as exc:
+                where = f"{path}: line {n}" if path is not None else f"line {n}"
+                raise DataError(f"{where}: malformed loss-log row {line!r}: {exc}") from None
         return rec
 
 
@@ -248,15 +279,19 @@ def run_experiment(
     start_epoch = 0
     if resume and log_path.exists():
         text = read_text(log_path)
-        records = RunRecord.from_log(text[: text.rfind("\n") + 1])  # a torn last row does not count
+        # a torn last row does not count
+        records = RunRecord.from_log(text[: text.rfind("\n") + 1], log_path)
         saved = (e for e in range(1, len(records.rows) + 1) if _ckpt_path(out_dir, e).exists())
         start_epoch = max((e for e in saved if _state_path(out_dir, e).exists()), default=0)
     if start_epoch:
         model, _ = model_from_checkpoint(_ckpt_path(out_dir, start_epoch))
-        state = TrainState.load(_state_path(out_dir, start_epoch))
-        state.check_matches(model, _state_path(out_dir, start_epoch))
+        state_path = _state_path(out_dir, start_epoch)
+        loaded = TrainState.load(state_path)
+        loaded.check_matches(model, state_path)
+        state = TrainState.for_model(model, loaded)
         records.rows = records.rows[:start_epoch]
-        log_path.write_text(records.to_log(), encoding="utf-8")
+        with atomic_write(log_path) as fh:
+            fh.write(records.to_log().encode("utf-8"))
     else:
         model = build_model(config, base_rng)
         state = TrainState.for_model(model)

@@ -27,6 +27,19 @@ class FailingArray:
         raise OSError("No space left on device")
 
 
+def adam_reference(p, g, m, v, lr, beta1, beta2, eps, t):
+    """One-shot in-place Adam step over whole arrays (Kingma and Ba 2015,
+    algorithm 1), the operations of the blocked ``kernels.adam_update`` in
+    its order."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
 def tape_ops(out: Tensor) -> int:
     """Op nodes (those with parents, not leaves) reachable from ``out``."""
     seen, stack, ops = set(), [out], 0

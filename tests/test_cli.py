@@ -341,6 +341,29 @@ def test_resume_from_state_file_not_matching_the_model_exits_two(capsys, tmp_pat
     assert "Traceback" not in err
 
 
+def test_resume_over_a_malformed_loss_log_row_exits_two_naming_the_log(capsys, tmp_path):
+    argv = _train_argv(capsys, tmp_path)
+    log = tmp_path / "run" / "loss.log"
+    log.write_text("1 abc 2 3 4\n")
+    code, _, err = run_cli(capsys, *argv, "--epochs", "2", "--resume")
+    assert code == 2
+    assert f"{log}: line 1: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["select-model", "plot-loss"])
+@pytest.mark.parametrize("row", ["2 abc 2 3 4", "2 1 2", "3 1 2 3 4"])
+def test_malformed_loss_log_row_exits_two_naming_the_log(capsys, tmp_path, command, row):
+    log = tmp_path / "loss.log"
+    log.write_text(f"1 1 1 1 1\n{row}\n")
+    extra = ["--out", str(tmp_path / "plot")] if command == "plot-loss" else []
+    code, out, err = run_cli(capsys, command, "--log", str(log), *extra)
+    assert code == 2
+    assert out == ""
+    assert f"{log}: line 2: " in err
+    assert "Traceback" not in err
+
+
 def test_gradcheck_cli_sampled(capsys):
     code, out, _ = run_cli(capsys, "gradcheck", "--preset", "tiny", "--seed", "7", "--entries", "2")
     assert code == 0

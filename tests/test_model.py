@@ -398,6 +398,28 @@ def test_zero_grads_zeroes_every_fused_gradient(arch):
     assert not any(np.any(w.grad) for w in fused)
 
 
+@pytest.mark.parametrize("source", ["built", "loaded"])
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+def test_every_parameter_is_a_view_of_the_arenas(tmp_path, arch, source):
+    model = build_model(tiny_cfg(arch), Rng(29))
+    if source == "loaded":
+        save_model(tmp_path / "m.ckpt", model)
+        built, (model, _) = model, model_from_checkpoint(tmp_path / "m.ckpt")
+        assert all(np.array_equal(p.data, model.params[n].data) for n, p in built.params.items())
+    assert model.param_arena.ndim == model.grad_arena.ndim == 1
+    assert model.param_arena.size == model.grad_arena.size == model.param_count()
+    for name, p in model.params.items():
+        assert np.shares_memory(p.data, model.param_arena), name
+        assert np.shares_memory(p.grad, model.grad_arena), name
+        assert p.data.shape == p.grad.shape, name
+    # the views tile the arena: writing each name's own index lands exactly once
+    tags = np.zeros(model.param_arena.size)
+    for i, (name, view) in enumerate(model.arena_views(tags).items(), 1):
+        assert not np.any(view), name
+        view[...] = i
+    assert np.all(tags > 0)
+
+
 @pytest.mark.parametrize("arch, merges", [("thm", 2), ("transformer", 0)])
 def test_the_only_concat_in_a_training_step_is_the_decoder_merge(arch, merges):
     # the gates are projected by their fused weights: no per-call concat

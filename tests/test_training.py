@@ -1,14 +1,17 @@
 """Schedule, optimizer loop, run records, selection metrics, resume."""
 
+import zipfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ccn import checkpoint, kernels
 from ccn.bpe import learn_bpe
+from ccn.checkpoint import model_from_checkpoint, save_model
 from ccn.data import gen_synthetic, make_batches
 from ccn.errors import DataError, DivergenceError
-from ccn.model import ModelConfig, build_model
+from ccn.model import ModelConfig, build_model, preset
 from ccn.rng import Rng
 from ccn.training import (
     DataBundle,
@@ -21,7 +24,7 @@ from ccn.training import (
     topk_selection,
     train_step,
 )
-from oracles import FailingArray
+from oracles import FailingArray, adam_reference
 
 SMALL = ModelConfig(
     arch="thm", d_model=16, n_heads=2, n_blocks=1, d_ff=32, vocab_size=16,
@@ -166,6 +169,97 @@ def test_gradient_accumulation_combines_micro_batches():
         assert np.array_equal(m1.params[n].data, m2.params[n].data), n
 
 
+@pytest.mark.parametrize("accum", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_step_matches_a_per_parameter_adam_loop(dtype, accum):
+    # the old optimizer: the one-shot Adam per parameter name, on the mean gradient
+    corpus, bpe = _toy(n_pairs=16, seed=20)
+    cfg = replace(SMALL, vocab_size=bpe.vocab_size)
+    batches = make_batches(corpus, bpe, 128, Rng(21), swap_prob=0.5, shuffle=False)[:accum]
+    assert len(batches) == accum
+    hp = TrainParams(warmup=10)
+    m1 = build_model(cfg, Rng(22), dtype=dtype)
+    s1 = TrainState.for_model(m1)
+    m2 = build_model(cfg, Rng(22), dtype=dtype)
+    moments = [{n: np.zeros_like(p.data) for n, p in m2.params.items()} for _ in "mv"]
+    for step in (1, 2):
+        loss = train_step(m1, batches if accum > 1 else batches[0], s1, hp, Rng(23).fork(step))
+        m2.zero_grads()
+        rng = Rng(23).fork(step)
+        for b in batches:
+            m2.loss_on_batch(b, training=True, rng=rng).backward()
+        lr = lr_at(step, cfg.d_model, hp.warmup)
+        for n, p in m2.params.items():
+            g = p.grad if accum == 1 else p.grad * (1.0 / accum)
+            adam_reference(
+                p.data, g, moments[0][n], moments[1][n], lr, hp.beta1, hp.beta2, hp.eps, step
+            )
+        assert np.isfinite(loss)
+        for n, p in m1.params.items():
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, m2.params[n].data), (step, n)
+            assert np.array_equal(s1.m[n], moments[0][n]), n
+            assert np.array_equal(s1.v[n], moments[1][n]), n
+
+
+def test_a_tiny_thm_train_step_makes_one_adam_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "adam_update", lambda *a: calls.append(a[0].shape))
+    corpus, bpe = _toy(seed=24)
+    model = build_model(replace(preset("tiny"), vocab_size=bpe.vocab_size), Rng(25))
+    batch = make_batches(corpus, bpe, 512, Rng(26))[0]
+    train_step(model, batch, TrainState.for_model(model), TrainParams(), Rng(27))
+    assert calls == [(model.param_count(),)]
+
+
+def _trained_state(tmp_path):
+    """A model and its arena-backed state after one step, the model saved to
+    tmp_path/m.ckpt; a copy of the state in plain per-name arrays; and a
+    batch for the next step."""
+    corpus, bpe = _toy(seed=28)
+    model = build_model(replace(SMALL, vocab_size=bpe.vocab_size), Rng(29))
+    batch = make_batches(corpus, bpe, 512, Rng(30))[0]
+    state = TrainState.for_model(model)
+    train_step(model, batch, state, TrainParams(warmup=10), Rng(31))
+    state.epoch, state.best_dev_bleu = 1, 4.5
+    save_model(tmp_path / "m.ckpt", model, step=state.step)
+    plain = TrainState(
+        step=state.step, epoch=state.epoch, best_dev_bleu=state.best_dev_bleu,
+        m={n: a.copy() for n, a in state.m.items()}, v={n: a.copy() for n, a in state.v.items()},
+    )
+    return model, state, plain, batch
+
+
+def test_a_state_file_of_plain_arrays_resumes_into_the_arenas_bit_exactly(tmp_path):
+    model, state, plain, batch = _trained_state(tmp_path)
+    path = tmp_path / "plain.state.npz"
+    plain.save(path)
+    resumed, _ = model_from_checkpoint(tmp_path / "m.ckpt")
+    loaded = TrainState.load(path)
+    loaded.check_matches(resumed, path)
+    rstate = TrainState.for_model(resumed, loaded)
+    assert (rstate.step, rstate.epoch, rstate.best_dev_bleu) == (1, 1, 4.5)
+    for n in state.m:
+        assert np.shares_memory(rstate.m[n], rstate.m_arena), n
+        assert np.shares_memory(rstate.v[n], rstate.v_arena), n
+    assert np.array_equal(rstate.m_arena, state.m_arena) and np.array_equal(rstate.v_arena, state.v_arena)
+    hp = TrainParams(warmup=10)
+    assert train_step(model, batch, state, hp, Rng(32)) == train_step(resumed, batch, rstate, hp, Rng(32))
+    assert np.array_equal(model.param_arena, resumed.param_arena)
+    assert np.array_equal(state.m_arena, rstate.m_arena) and np.array_equal(state.v_arena, rstate.v_arena)
+
+
+def test_an_arena_state_file_holds_the_per_name_arrays(tmp_path):
+    _, state, plain, _ = _trained_state(tmp_path)
+    state.save(tmp_path / "arena.npz")
+    plain.save(tmp_path / "plain.npz")
+    with zipfile.ZipFile(tmp_path / "arena.npz") as za, zipfile.ZipFile(tmp_path / "plain.npz") as zp:
+        assert za.namelist() == zp.namelist()
+        assert za.namelist()[: len(state.m)] == [f"m/{n}.npy" for n in state.m]
+        for name in za.namelist():
+            assert za.read(name) == zp.read(name), name
+
+
 # ---------------------------------------------------------------------------
 # records, selection
 # ---------------------------------------------------------------------------
@@ -222,6 +316,18 @@ def test_run_record_log_round_trip():
     assert len(text.splitlines()) == 3
     back = RunRecord.from_log(text)
     assert back.rows == rec.rows
+
+
+@pytest.mark.parametrize(
+    "row, why",
+    [("2 abc 2 3 4", "could not convert"), ("2 1 2", "expected 5, got 3"), ("3 1 2 3 4", "contiguous")],
+)
+def test_a_malformed_log_row_raises_data_error_naming_file_and_line(row, why):
+    text = f"1 1 1 1 1\n\n{row}\n"
+    with pytest.raises(DataError, match=f"^runs/loss.log: line 3: .*{why}"):
+        RunRecord.from_log(text, "runs/loss.log")
+    with pytest.raises(DataError, match=f"^line 3: .*{why}"):
+        RunRecord.from_log(text)
 
 
 def test_run_record_requires_contiguous_epochs():
@@ -304,6 +410,41 @@ def test_state_write_failing_midway_leaves_the_previous_file(tmp_path):
     assert len(failing.seen) == 2  # the state file and a temporary file beside it
     assert path.read_bytes() == blob
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_loss_log_rewrite_failing_midway_leaves_the_old_log(tmp_path, monkeypatch):
+    """Resume rewrites loss.log without the rows past its last saved epoch;
+    a write that fails halfway leaves the old log and no temporary file."""
+    data = _bundle(seed=23)
+    cfg = replace(SMALL, vocab_size=data.bpe.vocab_size)
+    hp = TrainParams(warmup=50, batch_tokens=128)
+    run_experiment(cfg, data, epochs=2, out_dir=tmp_path, seed=9, hp=hp)
+    (tmp_path / "epoch002.state.npz").unlink()  # resume starts after epoch 1
+    blob = (tmp_path / "loss.log").read_bytes()
+    seen = []
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            seen.extend(sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"))
+            raise OSError("No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a: HalfWriter(open(*a)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        run_experiment(cfg, data, epochs=3, out_dir=tmp_path, seed=9, hp=hp, resume=True)
+    assert seen == ["loss.log.tmp"]
+    assert (tmp_path / "loss.log").read_bytes() == blob
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def _acceptance_11_setup():

@@ -12,8 +12,10 @@ parameters, gradients and Adam moments after them; greedy and beam-3
 decodes; cached-step and full-recompute log-probabilities; and the bytes of
 the checkpoint it writes to OUT/ckpt. With --load DIR it also decodes with
 every checkpoint DIR/ckpt holds. Last, it runs 3 epochs of run_experiment
-on acceptance 7's copy-task data and prints the digest of the loss.log.
-Every digest covers dtypes, shapes and raw bytes.
+on acceptance 7's copy-task data and prints the digest of the loss.log,
+then runs 2 epochs into another directory, resumes that run to 3, and
+prints the digest of its loss.log, which matches the first when resume is
+bit-exact. Every digest covers dtypes, shapes and raw bytes.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def model_digests(out: Path, others: Path | None):
 
 
 def run_digest(out: Path):
-    """3 epochs of run_experiment on acceptance 7's data (tiny THM, seed 1)."""
+    """3 epochs of run_experiment on acceptance 7's data (tiny THM, seed 1),
+    straight through and resumed after 2."""
     rng = Rng(1)
     train = gen_synthetic("copy", 20, 2000, (3, 12), rng.fork("train"))
     dev = gen_synthetic("copy", 20, 100, (3, 12), rng.fork("dev"))
@@ -106,10 +109,15 @@ def run_digest(out: Path):
     bpe = learn_bpe(train.lines(), 28)
     cfg = replace(preset("tiny"), vocab_size=bpe.vocab_size)
     hp = TrainParams(warmup=400, batch_tokens=512)
-    run_experiment(cfg, DataBundle(train, dev, test, bpe), epochs=3, out_dir=out / "run", seed=1, hp=hp)
+    data = DataBundle(train, dev, test, bpe)
+    run_experiment(cfg, data, epochs=3, out_dir=out / "run", seed=1, hp=hp)
     log = (out / "run" / "loss.log").read_bytes()
     print("run loss.log", digest(np.frombuffer(log, dtype=np.uint8)))
     print(log.decode(), end="")
+    run_experiment(cfg, data, epochs=2, out_dir=out / "resumed", seed=1, hp=hp)
+    run_experiment(cfg, data, epochs=3, out_dir=out / "resumed", seed=1, hp=hp, resume=True)
+    log = (out / "resumed" / "loss.log").read_bytes()
+    print("resumed loss.log", digest(np.frombuffer(log, dtype=np.uint8)))
 
 
 def main():
