@@ -5,7 +5,9 @@ and the two-channel gate-routed co-attention.
 oracle for the vectorized path; do not "optimize" it. The co-attention pair
 routes each of the V/K/Q gates of two branches to either the left or right
 input channel; the crossed routing keeps V and K at home and borrows the
-query from the opposite channel.
+query from the opposite channel. With the branches stacked on one axis, a
+routing is a channel index per gate, read inside the projection
+(``routed_attention``).
 
 A mask is an additive bias array (Vaswani et al. 2017, section 3.2.3):
 ``causal_mask`` and ``padding_mask`` build and check it once per forward
@@ -24,6 +26,7 @@ from .tensor import (
     Tensor,
     add_const,
     attention_core,
+    linear,
     matmul,
     project_heads,
     scale,
@@ -176,10 +179,11 @@ def scaled_dot_attention(
     return matmul(softmax_rows(scores), vh)
 
 
-def split_heads(x: Tensor, params: MultiHeadParams, gate: str) -> Tensor:
+def split_heads(x: Tensor, params: MultiHeadParams, gate: str, channels=None) -> Tensor:
     """(..., n, d) -> (..., h, n, width): one projection through the ``gate``
-    weight ("w_q", "w_k" or "w_v"), heads on their own axis."""
-    return project_heads(x, getattr(params, gate), params.n_heads)
+    weight ("w_q", "w_k" or "w_v"), heads on their own axis; ``channels``
+    as ``project_heads`` takes them."""
+    return project_heads(x, getattr(params, gate), params.n_heads, channels)
 
 
 def attend_heads(
@@ -192,7 +196,7 @@ def attend_heads(
     decoding does with the encoder memory and the earlier target positions.
     """
     core = attention_core(qh, kh, vh, mask, 1.0 / math.sqrt(kh.data.shape[-1]))
-    return matmul(core, params.w_o)
+    return linear(core, params.w_o)
 
 
 def multi_head(
@@ -214,19 +218,24 @@ def multi_head(
 
 
 def routed_attention(
-    channels: dict[str, Tensor],
-    routing: GateRouting,
-    params: MultiHeadParams,
-    mask: np.ndarray | None = None,
+    x: Tensor, routing: tuple[GateRouting, ...], params: MultiHeadParams, mask: np.ndarray | None = None
 ) -> Tensor:
-    """One attention branch whose V/K/Q gates read the channels ``routing`` names."""
-    return multi_head(
-        q=channels[routing.q_source],
-        k=channels[routing.k_source],
-        v=channels[routing.v_source],
-        params=params,
-        mask=mask,
-    )
+    """Attention of every branch of ``x`` at once, with stacked ``params``:
+    each gate of branch i reads the channel (LEFT 0, RIGHT 1) of x's branch
+    axis that ``routing[i]`` names, inside its projection."""
+    heads = []
+    for gate in ("w_q", "w_k", "w_v"):
+        picks = tuple(_CHANNELS.index(getattr(r, f"{gate[-1]}_source")) for r in routing)
+        if max(picks) >= len(routing):
+            raise ValueError(f"gate {gate} of a {len(routing)}-branch model routed to channel {max(picks)}")
+        if picks == tuple(range(len(picks))):
+            channels = None
+        elif len(set(picks)) == 1:
+            channels = picks[0]  # every branch reads one channel
+        else:
+            channels = slice(None, None, -1)  # two branches crossed: (1, 0)
+        heads.append(split_heads(x, params, gate, channels))
+    return attend_heads(*heads, params, mask)
 
 
 def coattention(
@@ -245,7 +254,8 @@ def coattention(
     are independent unless the caller ties them explicitly.
     """
     channels = {LEFT: x_left, RIGHT: x_right}
-    return (
-        routed_attention(channels, left_routing, left_params, left_mask),
-        routed_attention(channels, right_routing, right_params, right_mask),
+    branches = ((left_routing, left_params, left_mask), (right_routing, right_params, right_mask))
+    return tuple(
+        multi_head(channels[r.q_source], channels[r.k_source], channels[r.v_source], params, mask)
+        for r, params, mask in branches
     )

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import DataError, read_text
+from .errors import DataError, atomic_write, read_text
 
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
 SPECIALS = (PAD, BOS, EOS, UNK)
@@ -143,7 +142,8 @@ def ids_to_text(model: BpeModel, ids) -> str:
 def save_bpe(model: BpeModel, path):
     lines = list(SPECIALS) + list(model.base_vocab) + [MERGE_SENTINEL]
     lines += [f"{a} {b}" for a, b in model.merges]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path, text=True) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_bpe(path) -> BpeModel:

@@ -6,8 +6,10 @@ model construction order: name length (uint32 LE), name bytes, rank
 (uint32 LE), each dimension (uint32 LE), raw little-endian float32 payload.
 Saving and loading a float32 model is bit-exact.
 
-Files are written through ``atomic_write``: a temporary file in the
-target's directory that replaces the target only once it is complete.
+Files are written through ``errors.atomic_write``: a temporary file in
+the target's directory that replaces the target only once it is complete.
+A load reads each payload straight into its own array, so that building
+the model makes the only copy of each parameter.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from __future__ import annotations
 import math
 import os
 import struct
-from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, atomic_write
 from .model import ModelConfig, ParamStore, Seq2SeqModel
 
 MAGIC = b"THM1"
@@ -38,24 +39,6 @@ _CONFIG_FIELDS = (
     ("max_len", int),
     ("label_smoothing", float),
 )
-
-
-@contextmanager
-def atomic_write(path):
-    """A binary file handle whose contents replace ``path`` (``os.replace``)
-    once the block ends; if the block raises, the temporary file next to
-    ``path`` is removed and ``path`` is left as it was. There is no fsync:
-    this covers a writer that fails or is killed, not a power cut."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            tmp.unlink()
-        raise
 
 
 def save_checkpoint(path, config: ModelConfig, step: int, params: dict[str, np.ndarray]):
@@ -79,23 +62,31 @@ def load_checkpoint(path) -> tuple[ModelConfig, int, dict[str, np.ndarray]]:
     """Read a checkpoint; a malformed header, record or payload raises DataError
     naming the path and the byte offset."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
-    if len(blob) < 5 or blob[4] != FORMAT_VERSION:
-        raise DataError(f"{path}: byte 4: unsupported checkpoint format version {blob[4:5]!r}")
-    end = blob.find(b"\n\n", 5)
-    if end < 0:
-        raise DataError(f"{path}: byte 5: config block has no terminating blank line")
+    with open(path, "rb") as fh:
+        return _read_checkpoint(path, fh, os.fstat(fh.fileno()).st_size)
+
+
+def _read_checkpoint(path: Path, fh, size: int):
+    """The config, step and parameters of the open checkpoint ``fh`` of
+    ``size`` bytes. Each payload is read straight into its own array, so
+    that building the model makes the only copy of it."""
+    head = fh.read(5)
+    if head[:4] != MAGIC:
+        raise DataError(f"{path}: not a checkpoint (bad magic {head[:4]!r})")
+    if len(head) < 5 or head[4] != FORMAT_VERSION:
+        raise DataError(f"{path}: byte 4: unsupported checkpoint format version {head[4:5]!r}")
     fields: dict[str, tuple[str, int]] = {}
     pos = 5
-    for raw in blob[5:end].split(b"\n"):
-        key, _, value = raw.partition(b"=")
+    while (raw := fh.readline()) != b"\n":
+        if not raw.endswith(b"\n"):
+            raise DataError(f"{path}: byte 5: config block has no terminating blank line")
+        key, _, value = raw[:-1].partition(b"=")
         try:
             fields[key.decode("utf-8")] = (value.decode("utf-8"), pos)
         except UnicodeDecodeError:
             raise DataError(f"{path}: byte {pos}: config line is not UTF-8") from None
-        pos += len(raw) + 1
+        pos += len(raw)
+    end = pos - 1  # the blank line ends the config block
 
     def field(key: str, conv):
         if key not in fields:
@@ -114,20 +105,19 @@ def load_checkpoint(path) -> tuple[ModelConfig, int, dict[str, np.ndarray]]:
         raise DataError(f"{path}: bytes 5-{end}: invalid model config: {exc}") from None
 
     def unpack(fmt: str, at: int, what: str) -> tuple:
+        raw = fh.read(struct.calcsize(fmt))
         try:
-            return struct.unpack_from(fmt, blob, at)
+            return struct.unpack(fmt, raw)
         except struct.error:
-            raise DataError(
-                f"{path}: byte {at}: {len(blob) - at} trailing bytes are not a whole {what}"
-            ) from None
+            raise DataError(f"{path}: byte {at}: {size - at} trailing bytes are not a whole {what}") from None
 
     params: dict[str, np.ndarray] = {}
     pos = end + 2
-    while pos < len(blob):
+    while pos < size:
         record = pos
         (name_len,) = unpack("<I", pos, "record header")
         pos += 4
-        raw_name = blob[pos : pos + name_len]
+        raw_name = fh.read(name_len)
         if len(raw_name) != name_len:
             raise DataError(f"{path}: byte {pos}: truncated parameter name in record at byte {record}")
         try:
@@ -142,12 +132,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, int, dict[str, np.ndarray]]:
         dims = unpack(f"<{rank}I", pos, f"shape of {name}")
         pos += 4 * rank
         count = math.prod(dims)
-        if pos + 4 * count > len(blob):
+        if pos + 4 * count > size:
             raise DataError(
                 f"{path}: byte {pos}: payload of {name} is truncated "
-                f"({len(blob) - pos} of {4 * count} bytes present)"
+                f"({size - pos} of {4 * count} bytes present)"
             )
-        params[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(dims).copy()
+        params[name] = np.empty(dims, dtype="<f4")
+        fh.readinto(params[name])
         pos += 4 * count
     return config, step, params
 

@@ -18,7 +18,7 @@ import numpy as np
 from .bpe import learn_bpe, apply_bpe, load_bpe, save_bpe
 from .checkpoint import model_from_checkpoint
 from .data import gen_synthetic, length_filter, load_corpus, make_batches, save_corpus
-from .errors import CcnError, DivergenceError, read_text
+from .errors import CcnError, DivergenceError, atomic_write, read_text
 from .evaluation import corpus_bleu, translate_corpus
 from .gradcheck import finite_diff_check
 from .model import PRESETS, build_model, count_parameters, preset
@@ -198,7 +198,8 @@ def _cmd_apply_bpe(args) -> int:
     ]
     text = "\n".join(segmented) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with atomic_write(args.out, text=True) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -254,7 +255,8 @@ def _cmd_translate(args) -> int:
     )
     text = "\n".join(hyps) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with atomic_write(args.out, text=True) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -328,10 +330,11 @@ def _cmd_plot_loss(args) -> int:
     records = RunRecord.from_log(read_text(args.log), args.log)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "loss.dat", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "loss.dat", text=True) as fh:
         fh.write("# epoch train_loss valid_loss dev_bleu test_bleu\n")
         fh.write(records.to_log())
-    (out / "loss.gp").write_text(_GNUPLOT_SCRIPT, encoding="utf-8")
+    with atomic_write(out / "loss.gp", text=True) as fh:
+        fh.write(_GNUPLOT_SCRIPT)
     print(f"wrote {out / 'loss.dat'} and {out / 'loss.gp'}")
     return EXIT_OK
 

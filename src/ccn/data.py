@@ -9,12 +9,11 @@ non-special tokens per sequence and fires with the configured probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .bpe import BOS_ID, EOS_ID, PAD_ID, BpeModel, apply_bpe
-from .errors import DataError, read_text
+from .errors import DataError, atomic_write, read_text
 from .rng import Rng
 
 _SPECIAL_IDS = frozenset((PAD_ID, BOS_ID, EOS_ID))
@@ -50,8 +49,9 @@ def load_corpus(src_path, tgt_path) -> ParallelCorpus:
 
 
 def save_corpus(corpus: ParallelCorpus, src_path, tgt_path):
-    Path(src_path).write_text("\n".join(corpus.sources()) + "\n", encoding="utf-8")
-    Path(tgt_path).write_text("\n".join(corpus.targets()) + "\n", encoding="utf-8")
+    for path, side in ((src_path, corpus.sources()), (tgt_path, corpus.targets())):
+        with atomic_write(path, text=True) as fh:
+            fh.write("\n".join(side) + "\n")
 
 
 def length_filter(corpus: ParallelCorpus, max_len: int = 250, ratio_limit: float = 1.5) -> ParallelCorpus:

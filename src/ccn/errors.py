@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the library, and the text-file reader
-that reports undecodable input as a DataError.
+"""Exception hierarchy shared across the library, the text-file reader
+that reports undecodable input as a DataError, and ``atomic_write``, the
+writer every file the library writes whole goes through.
 
 The CLI maps these onto process exit codes: usage errors (plain ValueError)
 exit 1, CcnError subclasses below exit 2, DivergenceError exits 3.
 """
 
+import os
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 
@@ -47,3 +50,22 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
+def atomic_write(path, text: bool = False):
+    """A binary file handle, or a UTF-8 text one with ``text``, whose
+    contents replace ``path`` (``os.replace``) once the block ends; if the
+    block raises, the temporary file next to ``path`` is removed and
+    ``path`` is left as it was. There is no fsync: this covers a writer that
+    fails or is killed, not a power cut."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w" if text else "wb", encoding="utf-8" if text else None) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            tmp.unlink()
+        raise

@@ -1,7 +1,9 @@
 """Hot numeric kernels in plain numpy.
 
-The tape ops in ``tensor`` call the softmax and layer-norm kernels on 2-d
-row views; ``training`` calls ``adam_update`` once per step, over the flat
+The tape ops in ``tensor`` call the softmax kernels on 2-d row views and
+the layer-norm kernels on (rows, d) or stacked (branches, rows, d) views,
+whose gain and bias carry the same leading axes, (d,) or (branches, d);
+``training`` calls ``adam_update`` once per step, over the flat
 parameter, gradient and moment arenas. Each kernel is a fixed sequence of
 numpy operations, so results are deterministic. The layer-norm kernels
 reduce rows with ``np.add.reduce`` (the sum ``ndarray.mean`` takes, without
@@ -36,28 +38,28 @@ def softmax_rows_bwd(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def layer_norm_fwd(x, gain, bias, eps):
-    d = x.shape[1]
-    mean = np.add.reduce(x, axis=1, keepdims=True) / d
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mean
-    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xc *= inv_std  # now xhat
-    y = xc * gain
-    y += bias
-    return y, xc, inv_std[:, 0]
+    y = xc * gain[..., None, :]
+    y += bias[..., None, :]
+    return y, xc, inv_std[..., 0]
 
 
 def layer_norm_bwd(dy, xhat, inv_std, gain):
-    d = dy.shape[1]
-    dgain = (dy * xhat).sum(axis=0)
-    dbias = dy.sum(axis=0)
-    g = dy * gain
+    d = dy.shape[-1]
+    dgain = (dy * xhat).sum(axis=-2)
+    dbias = dy.sum(axis=-2)
+    g = dy * gain[..., None, :]
     # dx = inv_std * (g - mean(g) - xhat * mean(g * xhat)) per row
-    gm = np.add.reduce(g, axis=1, keepdims=True) / d
-    gxm = np.add.reduce(g * xhat, axis=1, keepdims=True) / d
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / d
+    gxm = np.add.reduce(g * xhat, axis=-1, keepdims=True) / d
     g -= gm
     g -= xhat * gxm
-    g *= inv_std[:, None]
+    g *= inv_std[..., None]
     return g, dgain, dbias
 
 

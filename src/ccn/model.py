@@ -6,16 +6,25 @@ Both architectures share one BPE embedding table globally (source, target,
 and transposed output projection), sinusoidal positions, post-norm residual
 sublayers, bias-free attention projections, and biased feed-forward layers.
 
-Per block and per branch:
-  encoder: attention, then a feed-forward sublayer. THM's two branches
-           attend through crossed co-attention over the (left, right)
-           pair; the transformer's one branch attends to itself.
+Per block:
+  encoder: attention, then a feed-forward sublayer, per branch. THM's two
+           branches attend through crossed co-attention over the (left,
+           right) pair; the transformer's one branch attends to itself.
   decoder: one shared masked self-attention, then per branch an
            encoder-decoder attention into that branch's memory and a
-           feed-forward sublayer. THM concatenates its two branch outputs,
-           maps them back to model width, and passes them through one
+           feed-forward sublayer. THM folds its two branch outputs side by
+           side, maps them back to model width, and passes them through one
            shared feed-forward sublayer.
 Each stream ends with a final layer norm when the stack is non-empty.
+
+THM computes its branches together on a leading branch axis. Each
+per-branch parameter is a view of slice 0 (left) or 1 (right) of a stacked
+storage leaf, as each per-head parameter is a column view of its gate, so
+names, order and checkpoints are those of separate branches. The encoder
+streams, the memory and the decoder branch outputs carry the axis; the
+decoder's shared state does not, and both branches read it. A routing is a
+channel index per gate: the crossed query reads channels (1, 0), keys and
+values (0, 1). The transformer has no branch axis.
 
 Inference decodes incrementally (Shazeer 2019): ``start_decode`` encodes a
 padded batch of sources and projects the cross-attention keys and values
@@ -23,11 +32,10 @@ once, and each ``step_logprobs`` feeds one token per row against cached
 self-attention keys and values. ``next_logprobs`` re-runs the decoder over
 the whole prefix and is the reference the cached path is tested against.
 """
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -53,6 +61,7 @@ from .tensor import (
     cross_entropy,
     dropout,
     embedding,
+    fold_branches,
     layer_norm,
     linear,
     matmul,
@@ -135,9 +144,9 @@ class ParamStore:
     built.
 
     ``finish`` also lays out the flat arenas ``data`` and ``grad``: every
-    storage leaf (each parameter, or the leaf a ``fuse`` made of several)
-    takes a contiguous slice of both, in creation order, and each
-    parameter's ``.data`` and ``.grad`` become views of them. ``places``
+    storage leaf (each parameter, or the leaf a ``fuse`` or ``stack`` made
+    of several) takes a contiguous slice of both, in creation order, and
+    each parameter's ``.data`` and ``.grad`` become views of them. ``places``
     maps each parameter name to where it sits, so that ``arena_view`` cuts
     the same view out of any buffer of that layout. Parameter arrays are
     written in place, never rebound."""
@@ -148,8 +157,8 @@ class ParamStore:
         self.stored = stored
         self.params: dict[str, Tensor] = {}
         self.leaves: dict[str, Tensor] = {}  # storage leaves, in arena order
-        self.parts: dict[str, tuple[str, slice]] = {}  # fused parameter -> (leaf, its columns)
-        self.places: dict[str, tuple[int, tuple, slice]] = {}  # set by finish
+        self.parts: dict[str, tuple[str, tuple]] = {}  # part of a leaf -> (that leaf, its index in it)
+        self.places: dict[str, tuple[int, tuple, tuple]] = {}  # set by finish
         self.data = self.grad = None
 
     def _register(self, name: str, shape: tuple, draw) -> Tensor:
@@ -175,10 +184,11 @@ class ParamStore:
             raise DataError(f"checkpoint parameters do not match the model: {sorted(extra)[:5]}")
         places, size = {}, 0
         for name, leaf in self.leaves.items():
-            places[name] = (size, leaf.data.shape, slice(None))
+            places[name] = (size, leaf.data.shape, ())
             size += leaf.data.size
-        for name, (leaf, cols) in self.parts.items():
-            places[name] = (*places[leaf][:2], cols)
+        # a part's leaf is a storage leaf or a part made later
+        for name, (leaf, index) in reversed(self.parts.items()):
+            places[name] = (*places[leaf][:2], places[leaf][2] + index)
         self.data, self.grad = np.empty(size, self.dtype), np.zeros(size, self.dtype)
         for name, t in (self.leaves | self.params).items():
             data = arena_view(self.data, places[name])
@@ -204,26 +214,45 @@ class ParamStore:
     def ones(self, name: str, shape: tuple) -> Tensor:
         return self._register(name, shape, lambda: np.ones(shape))
 
-    def fuse(self, name: str, parts: list[Tensor]) -> Tensor:
-        """One storage leaf holding ``parts`` side by side along the last
-        axis; ``finish`` writes each part into its columns and makes the
-        part's ``.data`` and ``.grad`` views of them."""
-        shape = (*parts[0].data.shape[:-1], sum(p.data.shape[-1] for p in parts))
-        leaf = Tensor(np.empty(shape, self.dtype), requires_grad=True, name=name)
-        lo = 0
-        for p in parts:
+    def _combine(self, name: str, shape: tuple, parts: list[Tensor], indices) -> Tensor:
+        """A storage leaf in place of the leaves ``parts``, holding no memory
+        until ``finish`` gives it its arrays and makes part i, and every
+        parameter inside it, a view at ``indices[i]``."""
+        leaf = Tensor(np.broadcast_to(np.zeros((), self.dtype), shape), requires_grad=True, name=name)
+        for p, index in zip(parts, indices, strict=True):
             del self.leaves[p.name]
-            self.parts[p.name] = (name, slice(lo, lo + p.data.shape[-1]))
-            lo += p.data.shape[-1]
+            self.parts[p.name] = (name, index)
         self.leaves[name] = leaf
         return leaf
 
+    def fuse(self, name: str, parts: list[Tensor]) -> Tensor:
+        """One storage leaf holding ``parts`` side by side along the last axis."""
+        ends = np.cumsum([p.data.shape[-1] for p in parts])
+        cols = [(..., slice(end - p.data.shape[-1], end)) for p, end in zip(parts, ends)]
+        return self._combine(name, (*parts[0].data.shape[:-1], ends[-1]), parts, cols)
 
-def arena_view(flat: np.ndarray, place: tuple[int, tuple, slice]) -> np.ndarray:
+    def stack(self, parts: list):
+        """The branches' parameters ``parts`` (one Tensor, or dict or
+        dataclass of them, per branch) as one such structure, each Tensor a
+        storage leaf holding the branches' own on a new leading axis, the
+        branch axis, part i in slice i. One branch has no branch axis."""
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        if isinstance(first, dict):
+            return {k: self.stack([p[k] for p in parts]) for k in first}
+        if not isinstance(first, Tensor):
+            tensors = [f.name for f in fields(first) if isinstance(getattr(first, f.name), Tensor)]
+            return replace(first, **{k: self.stack([getattr(p, k) for p in parts]) for k in tensors})
+        shape = (len(parts), *first.data.shape)
+        return self._combine("|".join(p.name for p in parts), shape, parts, [(i,) for i in range(len(parts))])
+
+
+def arena_view(flat: np.ndarray, place: tuple[int, tuple, tuple]) -> np.ndarray:
     """The view of ``flat``, a buffer in an arena layout, at ``place``: the
-    storage leaf of that shape from offset ``lo``, cut to ``cols``."""
-    lo, shape, cols = place
-    return flat[lo : lo + math.prod(shape)].reshape(shape)[..., cols]
+    storage leaf of that shape from offset ``lo``, indexed by ``index``."""
+    lo, shape, index = place
+    return flat[lo : lo + math.prod(shape)].reshape(shape)[index]
 
 
 @dataclass
@@ -258,14 +287,18 @@ def _name(*parts) -> str:
     return ".".join(str(p) for p in parts if p != "")
 
 
-def _make_attn_ffn(store: ParamStore, prefix: str, attn: str, d: int, n_heads: int, d_ff: int) -> dict:
-    """An attention sublayer named ``attn`` followed by a feed-forward sublayer."""
-    return {
-        attn: _make_mha(store, f"{prefix}.{attn}", d, n_heads),
-        f"{attn}_norm": _make_norm(store, f"{prefix}.{attn}_norm", d),
-        "ffn": _make_ffn(store, f"{prefix}.ffn", d, d_ff),
-        "ffn_norm": _make_norm(store, f"{prefix}.ffn_norm", d),
-    }
+def _make_attn_ffn(store: ParamStore, prefixes: list, attn: str, d: int, n_heads: int, d_ff: int) -> dict:
+    """An attention sublayer named ``attn`` followed by a feed-forward
+    sublayer, one per branch prefix, stacked."""
+    return store.stack([
+        {
+            attn: _make_mha(store, f"{prefix}.{attn}", d, n_heads),
+            f"{attn}_norm": _make_norm(store, f"{prefix}.{attn}_norm", d),
+            "ffn": _make_ffn(store, f"{prefix}.ffn", d, d_ff),
+            "ffn_norm": _make_norm(store, f"{prefix}.ffn_norm", d),
+        }
+        for prefix in prefixes
+    ])
 
 
 def _make_mha(store: ParamStore, prefix: str, d: int, n_heads: int) -> MultiHeadParams:
@@ -302,10 +335,10 @@ def _norm(x: Tensor, p: NormParams) -> Tensor:
 
 @dataclass
 class EncoderMemory:
-    """Final encoder states, one per branch, and the (batch, 1, source
-    length) bias that masks the source pad keys."""
+    """The final encoder states, behind the branch axis for THM, and the
+    (batch, 1, source length) bias that masks the source pad keys."""
 
-    states: list[Tensor]
+    state: Tensor
     key_bias: np.ndarray
 
 
@@ -313,27 +346,24 @@ class EncoderMemory:
 class DecodeState:
     """Incremental decoding of a batch of rows (sentences or hypotheses).
 
-    ``cross[i]`` holds decoder block i's cross-attention (keys, values) per
-    branch, projected once from the encoder memory; ``past[i]`` holds its
+    ``cross[i]`` holds decoder block i's cross-attention (keys, values),
+    projected once from the encoder memory; ``past[i]`` holds its
     self-attention (keys, values) of the ``length`` positions fed so far
-    (None before the first). Arrays are (rows, heads, positions, d_k);
-    ``key_bias`` is the encoder memory's source-key bias.
+    (None before the first). Arrays are (rows, heads, positions, d_k), in
+    ``cross`` behind THM's branch axis; ``key_bias`` is the encoder memory's
+    source-key bias.
     """
 
     key_bias: np.ndarray
-    cross: list[list[tuple[Tensor, Tensor]]]
+    cross: list[tuple[Tensor, Tensor]]
     past: list[tuple[Tensor, Tensor] | None]
     length: int = 0
 
 
 class Seq2SeqModel:
-    """One encoder-decoder skeleton over the branches of ``config.arch``.
-
-    THM has the branches ("left", "right"): crossed co-attention in the
-    encoder, and a merge plus a shared feed-forward sublayer after the two
-    decoder branches. The transformer has one branch named "", which keeps
-    its unprefixed parameter names (``enc.0.attn``, ``dec.0.cross``).
-    """
+    """One encoder-decoder skeleton over the branches of ``config.arch``:
+    THM's ("left", "right"), or the transformer's one branch named "",
+    which keeps its unprefixed parameter names (``enc.0.attn``)."""
 
     def __init__(self, config: ModelConfig, store: ParamStore):
         self.config = config
@@ -344,7 +374,7 @@ class Seq2SeqModel:
         d, f, h = config.d_model, config.d_ff, config.n_heads
         self.embed_table = store.embedding_table("embedding.table", config.vocab_size, d)
         self.enc_blocks = [
-            {b: _make_attn_ffn(store, _name("enc", i, b), "attn", d, h, f) for b in self.branches}
+            _make_attn_ffn(store, [_name("enc", i, b) for b in self.branches], "attn", d, h, f)
             for i in range(config.n_blocks)
         ]
         self.dec_blocks = []
@@ -353,9 +383,8 @@ class Seq2SeqModel:
             block = {
                 "self_attn": _make_mha(store, f"{p}.self_attn", d, h),
                 "self_norm": _make_norm(store, f"{p}.self_norm", d),
+                "branch": _make_attn_ffn(store, [_name(p, b) for b in self.branches], "cross", d, h, f),
             }
-            for b in self.branches:
-                block[b] = _make_attn_ffn(store, _name(p, b), "cross", d, h, f)
             if len(self.branches) == 2:
                 block["merge_w"] = store.xavier(f"{p}.merge.w", 2 * d, d)
                 block["merge_b"] = store.zeros(f"{p}.merge.b", (d,))
@@ -364,10 +393,8 @@ class Seq2SeqModel:
                 block["ffn_norm"] = _make_norm(store, f"{p}.ffn_norm", d)
             self.dec_blocks.append(block)
         if config.n_blocks:
-            self.enc_final = {
-                b: _make_norm(store, f"enc.final_{b}_norm" if b else "enc.final_norm", d)
-                for b in self.branches
-            }
+            names = [f"enc.final_{b}_norm" if b else "enc.final_norm" for b in self.branches]
+            self.enc_final = store.stack([_make_norm(store, n, d) for n in names])
             self.dec_final = _make_norm(store, "dec.final_norm", d)
         self.params = store.finish()
         self.param_arena, self.grad_arena = store.data, store.grad
@@ -420,9 +447,10 @@ class Seq2SeqModel:
         """Run every branch over its own padded source batch.
 
         THM takes two (possibly differently corrupted) copies of the same
-        batch and routes its gates crossed; the transformer takes one batch
-        and attends to itself. ``routing`` overrides the default gate
-        routing (testing hook for the degradation identity).
+        batch, stacks them on the branch axis and routes its gates crossed;
+        the transformer takes one batch and attends to itself. ``routing``,
+        one GateRouting per branch, overrides the default gate routing
+        (testing hook for the degradation identity).
         """
         if len(srcs) != len(self.branches):
             raise ShapeError(
@@ -433,49 +461,32 @@ class Seq2SeqModel:
             raise ShapeError(f"branch inputs must align: {[s.shape for s in srcs]}")
         if routing is None:
             routing = crossed_routing() if len(self.branches) == 2 else (self_routing(LEFT),)
-        route = dict(zip(self.branches, routing, strict=True))
         key_bias = padding_mask(srcs[0] == PAD_ID, self.dtype)
-        xs = [self.embed_tokens(s, training=training, rng=rng) for s in srcs]
+        x = self.embed_tokens(np.stack(srcs) if len(srcs) > 1 else srcs[0], training=training, rng=rng)
         for block in self.enc_blocks:
-            channels = dict(zip((LEFT, RIGHT), xs))
-            ys = [routed_attention(channels, route[b], block[b]["attn"], key_bias) for b in self.branches]
-            xs = [
-                self._sublayer(x, y, block[b]["attn_norm"], training, rng)
-                for b, x, y in zip(self.branches, xs, ys)
-            ]
-            xs = [self._ffn_sublayer(x, block[b], training, rng) for b, x in zip(self.branches, xs)]
+            y = routed_attention(x, routing, block["attn"], key_bias)
+            x = self._sublayer(x, y, block["attn_norm"], training, rng)
+            x = self._ffn_sublayer(x, block, training, rng)
         if self.enc_blocks:
-            xs = [_norm(x, self.enc_final[b]) for b, x in zip(self.branches, xs)]
-        return EncoderMemory(xs, key_bias)
+            x = _norm(x, self.enc_final)
+        return EncoderMemory(x, key_bias)
 
-    def _memory_kv(self, block, branch: str, mem: Tensor) -> tuple[Tensor, Tensor]:
-        """Head-split cross-attention keys and values of one branch's memory."""
-        cross = block[branch]["cross"]
-        return split_heads(mem, cross, "w_k"), split_heads(mem, cross, "w_v")
-
-    def _cross_kv(self, memory: EncoderMemory) -> list[list[tuple[Tensor, Tensor]]]:
-        """Every decoder block's cross-attention (keys, values) per branch."""
-        pairs = list(zip(self.branches, memory.states, strict=True))
-        return [[self._memory_kv(block, b, mem) for b, mem in pairs] for block in self.dec_blocks]
-
-    def _decode_branch(self, block, branch: str, s: Tensor, kv, cross_mask, training, rng) -> Tensor:
-        """One decoder branch: cross-attention into the (keys, values) of its
-        memory, then its own FFN."""
-        sub = block[branch]
-        attn = attend_heads(split_heads(s, sub["cross"], "w_q"), *kv, sub["cross"], cross_mask)
-        c = self._sublayer(s, attn, sub["cross_norm"], training, rng)
-        return self._ffn_sublayer(c, sub, training, rng)
+    def _cross_kv(self, memory: EncoderMemory) -> list[tuple[Tensor, Tensor]]:
+        """Every decoder block's cross-attention (keys, values) of the memory."""
+        cross = [block["branch"]["cross"] for block in self.dec_blocks]
+        return [(split_heads(memory.state, c, "w_k"), split_heads(memory.state, c, "w_v")) for c in cross]
 
     def _decoder_stack(self, t: Tensor, cross, past, self_mask, cross_mask, training, rng):
         """Run the decoder blocks over the target positions ``t``.
 
-        ``cross[i]`` holds block i's cross-attention (keys, values) per branch;
+        ``cross[i]`` holds block i's cross-attention (keys, values);
         ``past[i]`` is block i's self-attention (keys, values) of the
-        positions before ``t``, or None. Returns the final hidden states and
-        every block's self-attention (keys, values) through ``t``.
+        positions before ``t``, or None. THM folds its branch outputs into
+        one (B, m, 2d) input of the merge. Returns the final hidden states
+        and every block's self-attention (keys, values) through ``t``.
         """
         present = []
-        for block, block_cross, block_past in zip(self.dec_blocks, cross, past):
+        for block, kv, block_past in zip(self.dec_blocks, cross, past):
             sa = block["self_attn"]
             kh, vh = split_heads(t, sa, "w_k"), split_heads(t, sa, "w_v")
             if block_past is not None:
@@ -483,16 +494,15 @@ class Seq2SeqModel:
             present.append((kh, vh))
             attn = attend_heads(split_heads(t, sa, "w_q"), kh, vh, sa, self_mask)
             s = self._sublayer(t, attn, block["self_norm"], training, rng)
-            outs = [
-                self._decode_branch(block, b, s, kv, cross_mask, training, rng)
-                for b, kv in zip(self.branches, block_cross)
-            ]
-            if len(outs) == 1:
-                t = outs[0]
-                continue
-            merged = linear(concat(outs, axis=-1), block["merge_w"], block["merge_b"])
-            u = self._sublayer(s, merged, block["merge_norm"], training, rng)
-            t = self._ffn_sublayer(u, block, training, rng)
+            # every branch at once: the shared state is their query and residual
+            sub = block["branch"]
+            attn = attend_heads(split_heads(s, sub["cross"], "w_q"), *kv, sub["cross"], cross_mask)
+            c = self._sublayer(s, attn, sub["cross_norm"], training, rng)
+            t = self._ffn_sublayer(c, sub, training, rng)
+            if len(self.branches) == 2:
+                merged = linear(fold_branches(t), block["merge_w"], block["merge_b"])
+                u = self._sublayer(s, merged, block["merge_norm"], training, rng)
+                t = self._ffn_sublayer(u, block, training, rng)
         if self.dec_blocks:
             t = _norm(t, self.dec_final)
         return t, present
@@ -534,7 +544,7 @@ class Seq2SeqModel:
 
     def start_decode(self, sources: list[list[int]]) -> DecodeState:
         """Encode ``sources`` as one batch padded with PAD_ID, and project each
-        decoder block's cross-attention keys and values once per branch."""
+        decoder block's cross-attention keys and values once."""
         if not sources:
             raise DataError("no sources to decode")
         if any(not len(s) for s in sources):
@@ -570,10 +580,11 @@ class Seq2SeqModel:
         rows = np.asarray(rows, dtype=np.intp)
 
         def gather(kv):
-            return tuple(Tensor(x.data[rows]) for x in kv)
+            # (..., rows, heads, positions, d_k): the rows sit behind any branch axis
+            return tuple(Tensor(x.data[..., rows, :, :, :]) for x in kv)
 
         state.key_bias = state.key_bias[rows]
-        state.cross = [[gather(kv) for kv in block] for block in state.cross]
+        state.cross = [gather(kv) for kv in state.cross]
         state.past = [None if kv is None else gather(kv) for kv in state.past]
 
 

@@ -7,13 +7,17 @@ accumulates gradients into every reachable leaf with ``requires_grad``.
 
 Shapes are 2-d (rows x features) or carry leading batch axes (the batch,
 and the heads inside attention); the fused kernels flatten all leading axes
-into rows. Verification runs use float64, training float32. An op keeps
+into rows. A stacked parameter carries a leading branch axis, one slice
+per branch of the model; an activation with a branch axis has it in front
+of its (batch, positions, features) axes, and one without it is shared by
+every branch. Verification runs use float64, training float32. An op keeps
 its operand's dtype and casts constants to it; only the scalar loss of
 ``cross_entropy`` is float64.
 
 The model's sublayers run on four fused ops, each one tape node with one
 hand-written backward: ``linear`` (x @ w + b), ``project_heads`` (x @ w
-split into heads), ``attention_core`` (scores, scale, bias, softmax, values
+split into heads, optionally reading the branches' channels crossed),
+``attention_core`` (scores, scale, bias, softmax, values
 and head merge; only the probabilities are saved) and ``residual_norm``
 (layer_norm(x + dropout(y)), not keeping the sum). Each computes the same
 numbers, in the same order, as the composition of the plain ops it
@@ -224,45 +228,79 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def _weight_rows(x: Tensor, w: Tensor) -> np.ndarray:
-    """``x`` viewed as the (rows, d) left operand of the (d, k) weight ``w``."""
-    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1]:
-        raise ShapeError(f"weight {w.data.shape} does not apply to input {x.data.shape}")
-    return x.data.reshape(-1, w.data.shape[0])
+def _weighted(x: np.ndarray, w: np.ndarray):
+    """x @ w over the rows of ``x``, and a function from the product's
+    gradient to (dx, dw). A stacked (branches, d, k) weight applies as an
+    array of shape (branches, 1, d, k) would broadcast, one GEMM per branch:
+    a (branches, B, n, d) ``x`` gives each branch its own rows, and a
+    (B, n, d) ``x`` is shared by every branch, its gradient summed over them."""
+    lead = x.shape[: x.ndim - 3] if w.ndim == 3 else ()
+    fits = x.ndim >= w.ndim and x.shape[-1] == w.shape[-2] and lead in ((), w.shape[:-2])
+    if w.ndim not in (2, 3) or not fits:
+        raise ShapeError(f"weight {w.shape} does not apply to input {x.shape}")
+    rows = x.reshape(lead + (-1, x.shape[-1]))
+    k = w.shape[-1]
+
+    def grads(g):
+        g_rows = g.reshape(w.shape[:-2] + (-1, k))
+        dx = _unbroadcast(np.matmul(g_rows, w.swapaxes(-1, -2)), rows.shape)
+        return dx.reshape(x.shape), np.matmul(rows.swapaxes(-1, -2), g_rows)
+
+    return np.matmul(rows, w).reshape(w.shape[:-2] + x.shape[len(lead) : -1] + (k,)), grads
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w + b as one node: the 2-d weight is one GEMM over all rows of
-    ``x``, forward and backward; ``b`` may be None."""
-    rows = _weight_rows(x, w)
-    k = w.data.shape[1]
-    data = (rows @ w.data).reshape(x.data.shape[:-1] + (k,))
+    """x @ w + b as one node, the weight applied as ``_weighted`` applies
+    it; ``b`` is None, (k,), or (branches, k) with a stacked weight."""
+    data, grads = _weighted(x.data, w.data)
     if b is not None:
-        data += b.data
+        rows = data.reshape(b.data.shape[:-1] + (-1, data.shape[-1]))  # a view: data is contiguous
+        rows += b.data[..., None, :]
 
     def backward(g):
-        g_rows = g.reshape(-1, k)
-        grads = ((x, (g_rows @ w.data.T).reshape(x.data.shape)), (w, rows.T @ g_rows))
-        # summed one leading axis at a time, as ``add`` sums it: one flat sum
-        # over the rows rounds differently in float32
-        return grads if b is None else grads + ((b, _unbroadcast(g, b.data.shape)),)
+        dx, dw = grads(g)
+        if b is None:
+            return ((x, dx), (w, dw))
+        # the rows summed one axis at a time, as ``add`` sums them: one flat
+        # sum over the rows rounds differently in float32
+        while g.ndim > b.data.ndim:
+            g = g.sum(axis=b.data.ndim - 1)
+        return ((x, dx), (w, dw), (b, g))
 
     return _make(data, (x, w) if b is None else (x, w, b), backward)
 
 
-def project_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
+def project_heads(x: Tensor, w: Tensor, n_heads: int, channels=None) -> Tensor:
     """(..., n, d) -> (..., h, n, d_k) as one node: x @ w, whose j-th block
-    of d_k columns is head j, with the heads on their own axis."""
-    rows = _weight_rows(x, w)
-    k = w.data.shape[1]
-    split = x.data.shape[:-1] + (n_heads, k // n_heads)
-    data = (rows @ w.data).reshape(split).swapaxes(-3, -2)
+    of d_k columns is head j, with the heads on their own axis. With a
+    stacked weight, ``channels``, a basic index of x's branch axis, picks
+    the channels the branches read without copying them: the crossed query
+    of two branches reads ``slice(None, None, -1)``, and an integer gives
+    every branch that one channel."""
+    data, grads = _weighted(x.data if channels is None else x.data[channels], w.data)
+    data = data.reshape(data.shape[:-1] + (n_heads, -1)).swapaxes(-3, -2)
 
     def backward(g):
-        g_rows = g.swapaxes(-3, -2).reshape(-1, k)
-        return ((x, (g_rows @ w.data.T).reshape(x.data.shape)), (w, rows.T @ g_rows))
+        dx, dw = grads(g.swapaxes(-3, -2))
+        if channels is not None:
+            dx, picked = np.zeros_like(x.data), dx
+            dx[channels] += picked
+        return ((x, dx), (w, dw))
 
     return _make(data, (x, w), backward)
+
+
+def fold_branches(x: Tensor) -> Tensor:
+    """(branches, ..., d) -> (..., branches * d): each position's branch
+    features side by side, branch i in the i-th block of d columns, the
+    array ``concat`` of the branches along features would give."""
+    n, inner, d = x.data.shape[0], x.data.shape[1:-1], x.data.shape[-1]
+    data = np.moveaxis(x.data, 0, -2).reshape(inner + (n * d,))
+
+    def backward(g):
+        return ((x, np.moveaxis(g.reshape(inner + (n, d)), -2, 0)),)
+
+    return _make(data, (x,), backward)
 
 
 def transpose(a: Tensor, axis1: int = -1, axis2: int = -2) -> Tensor:
@@ -307,9 +345,10 @@ def mean_all(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _rows(x: np.ndarray) -> np.ndarray:
-    """View an (..., d) array as 2-d rows for the kernels."""
-    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+def _rows(x: np.ndarray, lead: tuple = ()) -> np.ndarray:
+    """View an (..., d) array as 2-d rows for the kernels, or as (lead...,
+    rows, d) behind a branch axis ``lead``."""
+    return np.ascontiguousarray(x.reshape(lead + (-1, x.shape[-1])))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -327,14 +366,16 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 def _layer_norm_rows(s: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     """Layer norm of every row of ``s``: the output, and a function from its
-    gradient to (ds, dgain, dbias). ``s`` itself is not kept."""
+    gradient to (ds, dgain, dbias). A stacked (branches, d) gain and bias
+    normalize the rows of each branch of a (branches, ..., d) ``s``. ``s``
+    itself is not kept."""
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
-    shape = s.shape
-    y, xhat, inv_std = kernels.layer_norm_fwd(_rows(s), gain.data, bias.data, eps)
+    shape, lead = s.shape, gain.data.shape[:-1]
+    y, xhat, inv_std = kernels.layer_norm_fwd(_rows(s, lead), gain.data, bias.data, eps)
 
     def grads(g):
-        dx, dgain, dbias = kernels.layer_norm_bwd(_rows(g), xhat, inv_std, gain.data)
+        dx, dgain, dbias = kernels.layer_norm_bwd(_rows(g, lead), xhat, inv_std, gain.data)
         return dx.reshape(shape), dgain, dbias
 
     return y.reshape(shape), grads
@@ -383,7 +424,8 @@ def residual_norm(
     """layer_norm(x + dropout(y)) as one node: the post-norm residual
     sublayer with residual dropout (Vaswani et al. 2017, sections 3.1 and
     5.4). The mask is drawn as ``dropout`` draws it; the sum x + dropout(y)
-    is not kept."""
+    is not kept. ``x`` may lack y's leading branch axis: it is then shared
+    by every branch, and its gradient sums over them."""
     mask = _dropout_mask(y.data.shape, y.data.dtype, p, rng, training)
     if mask is None:
         s = x.data + y.data
@@ -394,7 +436,8 @@ def residual_norm(
 
     def backward(g):
         ds, dgain, dbias = grads(g)
-        return ((x, ds), (y, ds if mask is None else ds * mask), (gain, dgain), (bias, dbias))
+        dy = ds if mask is None else ds * mask
+        return ((x, _unbroadcast(ds, x.data.shape)), (y, dy), (gain, dgain), (bias, dbias))
 
     return _make(data, (x, y, gain, bias), backward)
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import kernels
 from .bpe import BpeModel
-from .checkpoint import atomic_write, model_from_checkpoint, save_model
+from .checkpoint import model_from_checkpoint, save_model
 from .data import Batch, ParallelCorpus, make_batches
-from .errors import DataError, DivergenceError, read_text
+from .errors import DataError, DivergenceError, atomic_write, read_text
 from .evaluation import corpus_bleu, translate_corpus
 from .model import ARCH_THM, ModelConfig, Seq2SeqModel, build_model
 from .rng import Rng
@@ -290,8 +290,8 @@ def run_experiment(
         loaded.check_matches(model, state_path)
         state = TrainState.for_model(model, loaded)
         records.rows = records.rows[:start_epoch]
-        with atomic_write(log_path) as fh:
-            fh.write(records.to_log().encode("utf-8"))
+        with atomic_write(log_path, text=True) as fh:
+            fh.write(records.to_log())
     else:
         model = build_model(config, base_rng)
         state = TrainState.for_model(model)

@@ -9,6 +9,7 @@ from ccn.checkpoint import save_checkpoint, save_model
 from ccn.evaluation import beam_search, greedy_decode
 from ccn.model import build_model, preset
 from ccn.rng import Rng
+from ccn.training import RunRecord
 from dataclasses import replace
 
 
@@ -153,6 +154,27 @@ def test_select_model_and_plot_loss(capsys, tmp_path):
     assert dat.splitlines()[0].startswith("#")
     assert len(dat.splitlines()) == 4
     assert (tmp_path / "plot" / "loss.gp").read_text().startswith("set terminal png")
+
+
+def test_plot_loss_failing_midway_leaves_the_previous_files(capsys, tmp_path, monkeypatch):
+    log, plot = tmp_path / "loss.log", tmp_path / "plot"
+    log.write_text("1 3.0 3.1 10 11\n")
+    assert run_cli(capsys, "plot-loss", "--log", str(log), "--out", str(plot))[0] == 0
+    before = (plot / "loss.dat").read_bytes()
+    seen = []
+
+    def failing(records):
+        # the header is already written to the temporary file
+        seen.extend(sorted(p.name for p in plot.iterdir()))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(RunRecord, "to_log", failing)
+    log.write_text("1 3.0 3.1 10 11\n2 2.0 2.1 30 29\n")
+    code, _, err = run_cli(capsys, "plot-loss", "--log", str(log), "--out", str(plot))
+    assert code == 2 and "No space left" in err
+    assert seen == ["loss.dat", "loss.dat.tmp", "loss.gp"]
+    assert (plot / "loss.dat").read_bytes() == before
+    assert sorted(p.name for p in plot.iterdir()) == ["loss.dat", "loss.gp"]
 
 
 def test_translate_runs_on_saved_checkpoint(capsys, tmp_path):

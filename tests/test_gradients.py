@@ -126,6 +126,33 @@ def test_grad_project_heads():
     _check(lambda: T.mean_all(T.mul(T.project_heads(x, w, 2), weights)), {"x": x, "w": w})
 
 
+@pytest.mark.parametrize("x_shape", [(2, 2, 3, 5), (2, 3, 5)], ids=["branched", "shared"])
+def test_grad_linear_with_a_stacked_weight(x_shape):
+    # a (2, B, n, d) input gives each branch its own rows; a (B, n, d) one is shared
+    rng = np.random.default_rng(15)
+    x = T.parameter("x", rng.normal(size=x_shape))
+    w = T.parameter("w", rng.normal(size=(2, 5, 3)))
+    b = T.parameter("b", rng.normal(size=(2, 3)))
+    weights = T.Tensor(rng.normal(size=(2, 2, 3, 3)))
+    _check(lambda: T.mean_all(T.mul(T.linear(x, w, b), weights)), {"x": x, "w": w, "b": b})
+
+
+@pytest.mark.parametrize("channels", [None, slice(None, None, -1), 0], ids=["own", "crossed", "shared"])
+def test_grad_project_heads_reading_channels(channels):
+    rng = np.random.default_rng(16)
+    x = T.parameter("x", rng.normal(size=(2, 2, 3, 4)))
+    w = T.parameter("w", rng.normal(size=(2, 4, 6)))
+    weights = T.Tensor(rng.normal(size=(2, 2, 2, 3, 3)))
+    _check(lambda: T.mean_all(T.mul(T.project_heads(x, w, 2, channels), weights)), {"x": x, "w": w})
+
+
+def test_grad_fold_branches():
+    rng = np.random.default_rng(17)
+    x = T.parameter("x", rng.normal(size=(2, 2, 3, 4)))
+    weights = T.Tensor(rng.normal(size=(2, 3, 8)))
+    _check(lambda: T.mean_all(T.mul(T.fold_branches(x), weights)), {"x": x})
+
+
 @pytest.mark.parametrize("bias", ["none", "causal", "padding"])
 def test_grad_attention_core(bias):
     rng = np.random.default_rng(13)
@@ -157,6 +184,21 @@ def test_grad_residual_norm(p):
     def build():
         # a fresh Rng per evaluation draws the same mask every time
         out = T.residual_norm(x, y, p, Rng(11), True, gain, bias, 1e-5)
+        return T.mean_all(T.mul(out, weights))
+
+    _check(build, {"x": x, "y": y, "gain": gain, "bias": bias})
+
+
+def test_grad_residual_norm_stacked_with_a_shared_residual():
+    rng = np.random.default_rng(18)
+    x = T.parameter("x", rng.normal(size=(2, 3, 6)))
+    y = T.parameter("y", rng.normal(size=(2, 2, 3, 6)))
+    gain = T.parameter("gain", rng.normal(size=(2, 6)) + 1.0)
+    bias = T.parameter("bias", rng.normal(size=(2, 6)))
+    weights = T.Tensor(rng.normal(size=(2, 2, 3, 6)))
+
+    def build():
+        out = T.residual_norm(x, y, 0.4, Rng(12), True, gain, bias, 1e-5)
         return T.mean_all(T.mul(out, weights))
 
     _check(build, {"x": x, "y": y, "gain": gain, "bias": bias})

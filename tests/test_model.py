@@ -7,13 +7,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ccn import attention
-from ccn.attention import LEFT, RIGHT, self_routing
-from ccn.bpe import BOS_ID, learn_bpe
+from ccn import attention, kernels
+from ccn import model as model_module
+from ccn.attention import (
+    LEFT,
+    RIGHT,
+    AttentionHeadParams,
+    MultiHeadParams,
+    causal_mask,
+    coattention,
+    crossed_routing,
+    multi_head,
+    padding_mask,
+    self_routing,
+)
+from ccn.bpe import BOS_ID, PAD_ID, learn_bpe
 from ccn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint, save_model
 from ccn.data import gen_synthetic, make_batches
 from ccn.errors import DataError, MaskError, ShapeError, VocabError
 from ccn.model import (
+    EncoderMemory,
     ModelConfig,
     build_model,
     count_parameters,
@@ -21,8 +34,8 @@ from ccn.model import (
     sinusoidal_positions,
 )
 from ccn.rng import Rng
-from ccn.tensor import mean_all, no_grad
-from oracles import FailingArray, tape_ops
+from ccn.tensor import Tensor, add, concat, fold_branches, layer_norm, linear, mean_all, no_grad, relu
+from oracles import FailingArray, fuse_heads, tape_ops
 
 
 def tiny_cfg(arch="thm", **over):
@@ -85,7 +98,7 @@ def test_thm_encoder_output_shapes():
     model = build_model(tiny_cfg(), Rng(1), dtype=np.float64)
     src = np.array([[5, 6, 7, 2], [8, 9, 2, 0]])
     memory = model.encode(src, src)
-    assert [m.data.shape for m in memory.states] == [(2, 4, 16), (2, 4, 16)]
+    assert [m.shape for m in memory.state.data] == [(2, 4, 16), (2, 4, 16)]
     logits = model.decode(memory, np.array([[1, 5, 6], [1, 8, 9]]))
     assert logits.data.shape == (2, 3, 20)
 
@@ -104,7 +117,7 @@ def test_thm_branch_symmetry_with_tied_parameters():
     _copy_params(model, values, mapping)
     src = np.array([[5, 6, 7, 2]])
     memory = model.encode(src, src)
-    assert np.array_equal(memory.states[0].data, memory.states[1].data)
+    assert np.array_equal(memory.state.data[0], memory.state.data[1])
 
 
 def test_thm_zero_blocks_returns_embedded_inputs():
@@ -112,8 +125,8 @@ def test_thm_zero_blocks_returns_embedded_inputs():
     src = np.array([[5, 6, 2]])
     memory = model.encode(src, src)
     want = model.embed_tokens(src).data
-    assert np.array_equal(memory.states[0].data, want)
-    assert np.array_equal(memory.states[1].data, want)
+    assert np.array_equal(memory.state.data[0], want)
+    assert np.array_equal(memory.state.data[1], want)
 
 
 def test_thm_encoder_rejects_misaligned_branch_inputs():
@@ -130,7 +143,7 @@ def test_encoder_rejects_wrong_number_of_sources(arch, n_sources):
         model.encode(*[src] * n_sources)
 
 
-def test_decoder_branch_halves_equal_with_tied_params_and_memories():
+def test_decoder_branch_halves_equal_with_tied_params_and_memories(monkeypatch):
     model = build_model(tiny_cfg(n_blocks=1), Rng(5), dtype=np.float64)
     values = {n: p.data for n, p in model.params.items()}
     mapping = {
@@ -142,14 +155,13 @@ def test_decoder_branch_halves_equal_with_tied_params_and_memories():
     src = np.array([[5, 6, 7, 2]])
     memory = model.encode(src, src)
     # identical memories for both branches
-    mem = memory.states[0]
-    s = model.embed_tokens(np.array([[1, 5, 6]]))
-    cross_mask = memory.key_bias
-    block = model.dec_blocks[0]
-    left, right = (
-        model._decode_branch(block, b, s, model._memory_kv(block, b, mem), cross_mask, False, None)
-        for b in ("left", "right")
-    )
+    mem = memory.state.data[0]
+    tied = EncoderMemory(Tensor(np.stack([mem, mem])), memory.key_bias)
+    # the stacked branch outputs, as the merge reads them
+    outs = []
+    monkeypatch.setattr(model_module, "fold_branches", lambda t: outs.append(t) or fold_branches(t))
+    model.decode(tied, np.array([[1, 5, 6]]))
+    left, right = map(Tensor, outs[0].data)
     assert np.array_equal(left.data, right.data)
 
 
@@ -222,7 +234,62 @@ def test_baseline_encoder_matches_thm_left_branch_under_all_left_routing():
     with no_grad():
         thm_mem = thm.encode(src, src, routing=(self_routing(LEFT), self_routing(RIGHT)))
         base_mem = base.encode(src)
-    assert np.abs(thm_mem.states[0].data - base_mem.states[0].data).max() < 1e-12
+    assert np.abs(thm_mem.state.data[0] - base_mem.state.data).max() < 1e-12
+
+
+def _per_branch_thm(model, src, tgt):
+    """THM's eval-mode encoder memories and decoder logits computed one
+    branch at a time from the parameters by name: crossed ``coattention``
+    in the encoder, ``multi_head`` per decoder branch, a ``concat`` merge,
+    and ``layer_norm`` for every norm."""
+    P = model.params
+
+    def mha(prefix):
+        heads = [AttentionHeadParams(*(P[f"{prefix}.h{j}.w{g}"] for g in "qkv")) for j in range(2)]
+        return fuse_heads(heads, P[f"{prefix}.wo"])
+
+    def norm(x, prefix):
+        return layer_norm(x, P[f"{prefix}.gain"], P[f"{prefix}.bias"])
+
+    def ffn_sublayer(x, prefix, norm_prefix):
+        h = relu(linear(x, P[f"{prefix}.w1"], P[f"{prefix}.b1"]))
+        return norm(add(x, linear(h, P[f"{prefix}.w2"], P[f"{prefix}.b2"])), norm_prefix)
+
+    key_bias = padding_mask(src == PAD_ID, np.float64)
+    xs = [model.embed_tokens(src)] * 2
+    for i in range(model.config.n_blocks):
+        ys = coattention(*xs, *crossed_routing(), mha(f"enc.{i}.left.attn"), mha(f"enc.{i}.right.attn"),
+                         key_bias, key_bias)
+        xs = [norm(add(x, y), f"enc.{i}.{b}.attn_norm") for b, x, y in zip((LEFT, RIGHT), xs, ys)]
+        xs = [ffn_sublayer(x, f"enc.{i}.{b}.ffn", f"enc.{i}.{b}.ffn_norm") for b, x in zip((LEFT, RIGHT), xs)]
+    mems = [norm(x, f"enc.final_{b}_norm") for b, x in zip((LEFT, RIGHT), xs)]
+    t = model.embed_tokens(tgt)
+    for i in range(model.config.n_blocks):
+        p = f"dec.{i}"
+        s = norm(add(t, multi_head(t, t, t, mha(f"{p}.self_attn"), causal_mask(tgt.shape[-1], np.float64))),
+                 f"{p}.self_norm")
+        outs = []
+        for b, mem in zip((LEFT, RIGHT), mems):
+            c = norm(add(s, multi_head(s, mem, mem, mha(f"{p}.{b}.cross"), key_bias)), f"{p}.{b}.cross_norm")
+            outs.append(ffn_sublayer(c, f"{p}.{b}.ffn", f"{p}.{b}.ffn_norm"))
+        merged = linear(concat(outs, axis=-1), P[f"{p}.merge.w"], P[f"{p}.merge.b"])
+        u = norm(add(s, merged), f"{p}.merge_norm")
+        t = ffn_sublayer(u, f"{p}.ffn", f"{p}.ffn_norm")
+    t = norm(t, "dec.final_norm")
+    return [m.data for m in mems], model.project_vocab(t).data
+
+
+def test_stacked_thm_matches_a_per_branch_reference():
+    model = build_model(tiny_cfg(), Rng(40), dtype=np.float64)
+    src = np.array([[5, 6, 7, 2], [8, 9, 2, 0]])
+    tgt = np.array([[1, 5, 6], [1, 8, 9]])
+    with no_grad():
+        memory = model.encode(src, src)
+        logits = model.decode(memory, tgt).data
+        mems, want = _per_branch_thm(model, src, tgt)
+    for got, ref in zip(memory.state.data, mems, strict=True):
+        assert np.abs(got - ref).max() < 1e-12
+    assert np.abs(logits - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +364,22 @@ def test_reordered_rows_continue_the_rows_they_were_gathered_from(arch, rows):
         assert np.abs(got - model.step_logprobs(ref, col)[rows]).max() < 1e-12
 
 
+def test_a_cached_thm_decode_step_runs_eleven_layer_norms(monkeypatch):
+    # per block the self-attention norm, the branches' cross and FFN norms
+    # (one call each for both branches), the merge and FFN norms; then the final norm
+    model = build_model(tiny_cfg(), Rng(41))
+    state = model.start_decode(DECODE_SOURCES)
+    calls = []
+
+    def counting(*args, fwd=kernels.layer_norm_fwd):
+        calls.append(args[0].shape)
+        return fwd(*args)
+
+    monkeypatch.setattr(kernels, "layer_norm_fwd", counting)
+    model.step_logprobs(state, [BOS_ID] * len(DECODE_SOURCES))
+    assert len(calls) == 11
+
+
 def test_step_past_max_len_raises():
     model = build_model(tiny_cfg(max_len=4), Rng(24))
     state = model.start_decode([[5, 2]])
@@ -317,15 +400,30 @@ def test_start_decode_rejects_an_empty_source():
 # ---------------------------------------------------------------------------
 
 
+def _branch_view(model, mha, j):
+    """Branch j's MultiHeadParams: views of the stacked gates' slice j, or
+    the gates themselves where there is no branch axis."""
+    if len(model.branches) == 1:
+        return mha
+
+    def view(w):
+        t = Tensor(w.data[j])
+        t.grad = w.grad[j]
+        return t
+
+    return MultiHeadParams(*map(view, (mha.w_q, mha.w_k, mha.w_v, mha.w_o)), n_heads=mha.n_heads)
+
+
 def _attention_sublayers(model):
     """(parameter prefix, MultiHeadParams) of every attention sublayer."""
     for i, block in enumerate(model.enc_blocks):
-        for b in model.branches:
-            yield ".".join(filter(None, ("enc", str(i), b, "attn"))), block[b]["attn"]
+        for j, b in enumerate(model.branches):
+            yield ".".join(filter(None, ("enc", str(i), b, "attn"))), _branch_view(model, block["attn"], j)
     for i, block in enumerate(model.dec_blocks):
         yield f"dec.{i}.self_attn", block["self_attn"]
-        for b in model.branches:
-            yield ".".join(filter(None, ("dec", str(i), b, "cross"))), block[b]["cross"]
+        for j, b in enumerate(model.branches):
+            cross = _branch_view(model, block["branch"]["cross"], j)
+            yield ".".join(filter(None, ("dec", str(i), b, "cross"))), cross
 
 
 @pytest.mark.parametrize("arch", ["thm", "transformer"])
@@ -351,7 +449,7 @@ def test_in_place_write_through_a_per_head_name_changes_encode():
         before = model.encode(src, src)
         model.params["enc.0.left.attn.h1.wv"].data[...] *= 2.0
         after = model.encode(src, src)
-    assert not np.allclose(after.states[0].data, before.states[0].data)
+    assert not np.allclose(after.state.data[0], before.state.data[0])
 
 
 @pytest.mark.parametrize("arch", ["thm", "transformer"])
@@ -420,9 +518,10 @@ def test_every_parameter_is_a_view_of_the_arenas(tmp_path, arch, source):
     assert np.all(tags > 0)
 
 
-@pytest.mark.parametrize("arch, merges", [("thm", 2), ("transformer", 0)])
+@pytest.mark.parametrize("arch, merges", [("thm", 0), ("transformer", 0)])
 def test_the_only_concat_in_a_training_step_is_the_decoder_merge(arch, merges):
-    # the gates are projected by their fused weights: no per-call concat
+    # the gates are projected by their fused weights and THM folds its branch
+    # outputs into the merge by a transpose: no concat at all
     corpus = gen_synthetic("copy", 12, 4, (3, 5), Rng(0))
     bpe = learn_bpe(corpus.lines(), 16)
     model = build_model(tiny_cfg(arch, dropout_p=0.1, vocab_size=bpe.vocab_size), Rng(28))
@@ -484,12 +583,12 @@ def test_decode_state_stays_in_the_model_dtype(arch, dtype):
     state = model.start_decode(DECODE_SOURCES)
     for col in _token_columns(np.random.default_rng(6), len(DECODE_SOURCES), 3):
         assert model.step_logprobs(state, col).dtype == np.float64
-        cached = [x for block in state.cross for kv in block for x in kv]
+        cached = [x for kv in state.cross for x in kv]
         cached += [x for kv in state.past for x in kv]
         assert {x.data.dtype for x in cached} == {np.dtype(dtype)}
 
 
-@pytest.mark.parametrize("name, expected", [("tiny", 124), ("transformer-tiny", 65)])
+@pytest.mark.parametrize("name, expected", [("tiny", 79), ("transformer-tiny", 65)])
 def test_tape_ops_per_tiny_training_step(name, expected):
     # one node per linear, head projection, attention core and residual + norm
     rng = Rng(1)
@@ -572,6 +671,16 @@ def test_checkpoint_magic_and_config_block(tmp_path):
     # construction order is preserved on disk
     assert list(params) == list(model.params)
     assert all(v.dtype == np.float32 for v in params.values())
+
+
+def test_loaded_checkpoint_arrays_are_writable_float32(tmp_path):
+    # each payload is read straight into its own array, which building the
+    # model copies into the arena: the only copy
+    path, _, model = _saved_blob(tmp_path)
+    _, _, params = load_checkpoint(path)
+    for name, a in params.items():
+        assert a.flags.writeable and a.dtype == np.float32, name
+        assert np.array_equal(a, model.params[name].data), name
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

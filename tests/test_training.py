@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ccn import checkpoint, kernels
+from ccn import errors, kernels
 from ccn.bpe import learn_bpe
 from ccn.checkpoint import model_from_checkpoint, save_model
 from ccn.data import gen_synthetic, make_batches
@@ -439,7 +439,7 @@ def test_loss_log_rewrite_failing_midway_leaves_the_old_log(tmp_path, monkeypatc
             seen.extend(sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"))
             raise OSError("No space left on device")
 
-    monkeypatch.setattr(checkpoint, "open", lambda *a: HalfWriter(open(*a)), raising=False)
+    monkeypatch.setattr(errors, "open", lambda *a, **kw: HalfWriter(open(*a, **kw)), raising=False)
     with pytest.raises(OSError, match="No space left"):
         run_experiment(cfg, data, epochs=3, out_dir=tmp_path, seed=9, hp=hp, resume=True)
     assert seen == ["loss.log.tmp"]

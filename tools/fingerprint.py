@@ -7,7 +7,9 @@ refactor is bit-identical to the commit before it.
 
 For THM and the transformer at 0, 1 and 2 blocks, in float32 and float64,
 with dropout 0.1, token swap 0.5 and label smoothing 0.1, it prints the
-digest of: the initial parameters; the losses of 4 train steps; the
+digest of: the initial parameters; the fresh model's decodes (as below)
+and eval-mode losses on the 4 batches, so that a forward pass is compared
+apart from training; the losses of 4 train steps; the
 parameters, gradients and Adam moments after them; greedy and beam-3
 decodes; cached-step and full-recompute log-probabilities; and the bytes of
 the checkpoint it writes to OUT/ckpt. With --load DIR it also decodes with
@@ -80,8 +82,13 @@ def model_digests(out: Path, others: Path | None):
                 model = build_model(cfg, Rng(3), dtype=dtype)
                 params = model.params.values()
                 print(name, "init", digest(*[p.data for p in params]))
-                state = TrainState.for_model(model)
                 batches = make_batches(corpus, bpe, hp.batch_tokens, Rng(4), swap_prob=0.5)
+                for key, value in decode_digests(model).items():
+                    print(name, "fresh", key, value)
+                with no_grad():
+                    eval_losses = [float(model.loss_on_batch(b).data) for b in batches[:4]]
+                print(name, "fresh eval_losses", repr(eval_losses))
+                state = TrainState.for_model(model)
                 losses = [train_step(model, b, state, hp, Rng(5).fork(i)) for i, b in enumerate(batches[:4])]
                 print(name, "losses", repr(losses))
                 print(name, "params", digest(*[p.data for p in params]))
