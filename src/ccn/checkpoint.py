@@ -126,6 +126,8 @@ def _read_checkpoint(path: Path, fh, size: int):
             raise DataError(f"{path}: byte {pos}: parameter name is not UTF-8") from None
         if not name:
             raise DataError(f"{path}: byte {record}: record has an empty parameter name")
+        if name in params:
+            raise DataError(f"{path}: byte {record}: duplicate record of parameter {name}")
         pos += name_len
         (rank,) = unpack("<I", pos, f"record header of {name}")
         pos += 4

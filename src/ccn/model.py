@@ -18,7 +18,7 @@ Per block:
 Each stream ends with a final layer norm when the stack is non-empty.
 
 THM computes its branches together on a leading branch axis. Each
-per-branch parameter is a view of slice 0 (left) or 1 (right) of a stacked
+per-branch parameter is a view of slice 0 (left) or 1 (right) of a (2, ...)
 storage leaf, as each per-head parameter is a column view of its gate, so
 names, order and checkpoints are those of separate branches. The encoder
 streams, the memory and the decoder branch outputs carry the axis; the
@@ -138,114 +138,78 @@ def preset(name: str, **overrides) -> ModelConfig:
 
 
 class ParamStore:
-    """Creates named parameters in a fixed order (the checkpoint order),
-    each drawn from ``rng`` or, given ``stored`` arrays (a loaded
-    checkpoint), taken by name; ``finish`` returns them once the model is
-    built.
+    """Lays out a model's parameters. The model declares each storage leaf
+    once (``leaf``), in the shape it computes with and with its init rule,
+    then names each checkpoint parameter, in checkpoint order, as an index
+    into a leaf (``name``): a per-head weight is a column view of its gate,
+    a per-branch one a slice of the branch axis.
 
-    ``finish`` also lays out the flat arenas ``data`` and ``grad``: every
-    storage leaf (each parameter, or the leaf a ``fuse`` or ``stack`` made
-    of several) takes a contiguous slice of both, in creation order, and
-    each parameter's ``.data`` and ``.grad`` become views of them. ``places``
-    maps each parameter name to where it sits, so that ``arena_view`` cuts
-    the same view out of any buffer of that layout. Parameter arrays are
-    written in place, never rebound."""
+    ``finish`` lays the leaves out, in declaration order, as contiguous
+    slices of the flat arenas ``data`` and ``grad``, then fills each named
+    view, in naming order, straight into the arena: a draw from ``rng`` by
+    its leaf's rule at the view's own shape or, given ``stored`` arrays (a
+    loaded checkpoint), the array of that name. ``places`` maps each name
+    to where it sits, so that ``arena_view`` cuts the same view out of any
+    buffer of that layout. Parameter arrays are written in place, never
+    rebound."""
 
     def __init__(self, dtype, rng: Rng | None = None, stored: dict[str, np.ndarray] | None = None):
         self.dtype = np.dtype(dtype)
         self.rng = rng
         self.stored = stored
-        self.params: dict[str, Tensor] = {}
-        self.leaves: dict[str, Tensor] = {}  # storage leaves, in arena order
-        self.parts: dict[str, tuple[str, tuple]] = {}  # part of a leaf -> (that leaf, its index in it)
-        self.places: dict[str, tuple[int, tuple, tuple]] = {}  # set by finish
+        self.leaves: dict[int, tuple[Tensor, str]] = {}  # id -> (storage leaf, init rule), in arena order
+        self.views: dict[str, tuple[Tensor, tuple]] = {}  # name -> (its leaf, its index in it)
+        self.params: dict[str, Tensor] = {}  # set by finish, as are the rest
+        self.places: dict[str, tuple[int, tuple, tuple]] = {}
         self.data = self.grad = None
 
-    def _register(self, name: str, shape: tuple, draw) -> Tensor:
-        if name in self.params:
+    def leaf(self, shape: tuple, init: str, name: str | None = None) -> Tensor:
+        """A storage leaf of ``shape`` whose views ``init`` ("xavier",
+        "embedding", "zeros" or "ones") draws; ``name`` names all of it.
+        Its array, unwritten, only carries the shape until ``finish``."""
+        t = Tensor(np.empty(shape, self.dtype), requires_grad=True)
+        self.leaves[id(t)] = (t, init)
+        if name is not None:
+            self.name(name, t)
+        return t
+
+    def name(self, name: str, leaf: Tensor, index: tuple = ()):
+        if name in self.views:
             raise ValueError(f"duplicate parameter name {name!r}")
+        self.views[name] = (leaf, index)
+
+    def _initial(self, name: str, init: str, shape: tuple):
         if self.stored is None:
-            data = draw()
-        elif name not in self.stored:
+            if init in ("zeros", "ones"):
+                return float(init == "ones")
+            limit = np.sqrt(6.0 / sum(shape)) if init == "xavier" else np.sqrt(3.0 / shape[1])
+            return self.rng.uniform_range(-limit, limit, shape)
+        if name not in self.stored:
             raise DataError(f"checkpoint parameters do not match the model: {[name]}")
-        else:
-            data = self.stored[name]
-            if data.shape != shape:
-                raise DataError(f"checkpoint shape mismatch for {name}: {data.shape} vs {shape}")
-        p = Tensor(data.astype(self.dtype, copy=False), requires_grad=True, name=name)
-        self.params[name] = self.leaves[name] = p
-        return p
+        data = self.stored[name]
+        if data.shape != shape:
+            raise DataError(f"checkpoint shape mismatch for {name}: {data.shape} vs {shape}")
+        return data
 
     def finish(self) -> dict[str, Tensor]:
-        """The parameters in creation order, moved into the arenas; stored
-        arrays no parameter took raise."""
+        """The named parameters in naming order, filled into the arenas;
+        stored arrays no parameter took raise."""
+        size = sum(leaf.data.size for leaf, _ in self.leaves.values())
+        self.data, self.grad = np.empty(size, self.dtype), np.zeros(size, self.dtype)
+        at, lo = {}, 0
+        for key, (leaf, _) in self.leaves.items():
+            at[key] = place = (lo, leaf.data.shape, ())
+            lo += leaf.data.size
+            leaf.data, leaf.grad = arena_view(self.data, place), arena_view(self.grad, place)
+        for name, (leaf, index) in self.views.items():
+            self.places[name] = (*at[id(leaf)][:2], index)
+            p = self.params[name] = Tensor(leaf.data[index], requires_grad=True, name=name)
+            p.grad = leaf.grad[index]
+            p.data[...] = self._initial(name, self.leaves[id(leaf)][1], p.data.shape)
         extra = set(self.stored or ()) - set(self.params)
         if extra:
             raise DataError(f"checkpoint parameters do not match the model: {sorted(extra)[:5]}")
-        places, size = {}, 0
-        for name, leaf in self.leaves.items():
-            places[name] = (size, leaf.data.shape, ())
-            size += leaf.data.size
-        # a part's leaf is a storage leaf or a part made later
-        for name, (leaf, index) in reversed(self.parts.items()):
-            places[name] = (*places[leaf][:2], places[leaf][2] + index)
-        self.data, self.grad = np.empty(size, self.dtype), np.zeros(size, self.dtype)
-        for name, t in (self.leaves | self.params).items():
-            data = arena_view(self.data, places[name])
-            if name in self.params:
-                data[...] = t.data
-            t.data, t.grad = data, arena_view(self.grad, places[name])
-        self.places = {n: places[n] for n in self.params}
         return self.params
-
-    def xavier(self, name: str, fan_in: int, fan_out: int) -> Tensor:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        shape = (fan_in, fan_out)
-        return self._register(name, shape, lambda: self.rng.uniform_range(-limit, limit, shape))
-
-    def embedding_table(self, name: str, vocab: int, d: int) -> Tensor:
-        limit = np.sqrt(3.0 / d)
-        shape = (vocab, d)
-        return self._register(name, shape, lambda: self.rng.uniform_range(-limit, limit, shape))
-
-    def zeros(self, name: str, shape: tuple) -> Tensor:
-        return self._register(name, shape, lambda: np.zeros(shape))
-
-    def ones(self, name: str, shape: tuple) -> Tensor:
-        return self._register(name, shape, lambda: np.ones(shape))
-
-    def _combine(self, name: str, shape: tuple, parts: list[Tensor], indices) -> Tensor:
-        """A storage leaf in place of the leaves ``parts``, holding no memory
-        until ``finish`` gives it its arrays and makes part i, and every
-        parameter inside it, a view at ``indices[i]``."""
-        leaf = Tensor(np.broadcast_to(np.zeros((), self.dtype), shape), requires_grad=True, name=name)
-        for p, index in zip(parts, indices, strict=True):
-            del self.leaves[p.name]
-            self.parts[p.name] = (name, index)
-        self.leaves[name] = leaf
-        return leaf
-
-    def fuse(self, name: str, parts: list[Tensor]) -> Tensor:
-        """One storage leaf holding ``parts`` side by side along the last axis."""
-        ends = np.cumsum([p.data.shape[-1] for p in parts])
-        cols = [(..., slice(end - p.data.shape[-1], end)) for p, end in zip(parts, ends)]
-        return self._combine(name, (*parts[0].data.shape[:-1], ends[-1]), parts, cols)
-
-    def stack(self, parts: list):
-        """The branches' parameters ``parts`` (one Tensor, or dict or
-        dataclass of them, per branch) as one such structure, each Tensor a
-        storage leaf holding the branches' own on a new leading axis, the
-        branch axis, part i in slice i. One branch has no branch axis."""
-        first = parts[0]
-        if len(parts) == 1:
-            return first
-        if isinstance(first, dict):
-            return {k: self.stack([p[k] for p in parts]) for k in first}
-        if not isinstance(first, Tensor):
-            tensors = [f.name for f in fields(first) if isinstance(getattr(first, f.name), Tensor)]
-            return replace(first, **{k: self.stack([getattr(p, k) for p in parts]) for k in tensors})
-        shape = (len(parts), *first.data.shape)
-        return self._combine("|".join(p.name for p in parts), shape, parts, [(i,) for i in range(len(parts))])
 
 
 def arena_view(flat: np.ndarray, place: tuple[int, tuple, tuple]) -> np.ndarray:
@@ -269,44 +233,61 @@ class FeedForwardParams:
     b2: Tensor
 
 
-def _make_norm(store: ParamStore, prefix: str, d: int) -> NormParams:
-    return NormParams(store.ones(f"{prefix}.gain", (d,)), store.zeros(f"{prefix}.bias", (d,)))
+def _make_norm(store: ParamStore, d: int, lead: tuple = ()) -> NormParams:
+    return NormParams(store.leaf((*lead, d), "ones"), store.leaf((*lead, d), "zeros"))
 
 
-def _make_ffn(store: ParamStore, prefix: str, d: int, d_ff: int) -> FeedForwardParams:
+def _make_ffn(store: ParamStore, d: int, d_ff: int, lead: tuple = ()) -> FeedForwardParams:
     return FeedForwardParams(
-        store.xavier(f"{prefix}.w1", d, d_ff),
-        store.zeros(f"{prefix}.b1", (d_ff,)),
-        store.xavier(f"{prefix}.w2", d_ff, d),
-        store.zeros(f"{prefix}.b2", (d,)),
+        store.leaf((*lead, d, d_ff), "xavier"),
+        store.leaf((*lead, d_ff), "zeros"),
+        store.leaf((*lead, d_ff, d), "xavier"),
+        store.leaf((*lead, d), "zeros"),
     )
 
 
-def _name(*parts) -> str:
-    """Dotted parameter prefix; the transformer's empty branch name drops out."""
-    return ".".join(str(p) for p in parts if p != "")
+def _make_mha(store: ParamStore, d: int, n_heads: int, lead: tuple = ()) -> MultiHeadParams:
+    w_q, w_k, w_v, w_o = (store.leaf((*lead, d, d), "xavier") for _ in "qkvo")
+    return MultiHeadParams(w_q, w_k, w_v, w_o, n_heads)
+
+
+def _name(*pieces) -> str:
+    """Dotted parameter name; the transformer's empty branch name drops out."""
+    return ".".join(str(p) for p in pieces if p != "")
+
+
+def _name_views(store: ParamStore, prefixes: list[str], sub: dict):
+    """Name the parameters of each sublayer in ``sub`` ``{prefix}.{key}.*``,
+    once per branch prefix; with two, prefix j names slice j of the branch
+    axis. Gate weight ``h{j}.w{q,k,v}`` is head j's block of columns."""
+    for b, prefix in enumerate(prefixes):
+        at = (b,) if len(prefixes) > 1 else ()
+        for key, p in sub.items():
+            base = _name(prefix, key)
+            if not isinstance(p, MultiHeadParams):
+                for f in fields(p):
+                    store.name(f"{base}.{f.name}", getattr(p, f.name), at)
+                continue
+            d_k = p.w_q.shape[-1] // p.n_heads
+            for j in range(p.n_heads):
+                cols = (*at, ..., slice(j * d_k, (j + 1) * d_k))
+                for g, w in zip("qkv", (p.w_q, p.w_k, p.w_v)):
+                    store.name(f"{base}.h{j}.w{g}", w, cols)
+            store.name(f"{base}.wo", p.w_o, at)
 
 
 def _make_attn_ffn(store: ParamStore, prefixes: list, attn: str, d: int, n_heads: int, d_ff: int) -> dict:
     """An attention sublayer named ``attn`` followed by a feed-forward
-    sublayer, one per branch prefix, stacked."""
-    return store.stack([
-        {
-            attn: _make_mha(store, f"{prefix}.{attn}", d, n_heads),
-            f"{attn}_norm": _make_norm(store, f"{prefix}.{attn}_norm", d),
-            "ffn": _make_ffn(store, f"{prefix}.ffn", d, d_ff),
-            "ffn_norm": _make_norm(store, f"{prefix}.ffn_norm", d),
-        }
-        for prefix in prefixes
-    ])
-
-
-def _make_mha(store: ParamStore, prefix: str, d: int, n_heads: int) -> MultiHeadParams:
-    """Per-head parameters ``{prefix}.h{j}.wq/wk/wv`` are column views of
-    one weight per gate."""
-    heads = [[store.xavier(f"{prefix}.h{j}.w{g}", d, d // n_heads) for g in "qkv"] for j in range(n_heads)]
-    w_q, w_k, w_v = (store.fuse(f"{prefix}.w{g}", [h[i] for h in heads]) for i, g in enumerate("qkv"))
-    return MultiHeadParams(w_q, w_k, w_v, w_o=store.xavier(f"{prefix}.wo", d, d), n_heads=n_heads)
+    sublayer, one per branch prefix, on the branch axis when there are two."""
+    lead = (len(prefixes),) if len(prefixes) > 1 else ()
+    sub = {
+        attn: _make_mha(store, d, n_heads, lead),
+        f"{attn}_norm": _make_norm(store, d, lead),
+        "ffn": _make_ffn(store, d, d_ff, lead),
+        "ffn_norm": _make_norm(store, d, lead),
+    }
+    _name_views(store, prefixes, sub)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +351,9 @@ class Seq2SeqModel:
         self.dtype = store.dtype
         self.branches = (LEFT, RIGHT) if config.arch == ARCH_THM else ("",)
         self.positions = sinusoidal_positions(config.max_len, config.d_model).astype(self.dtype)
-        # parameters are created in checkpoint order
+        # leaves are declared in arena order, parameters named in checkpoint order
         d, f, h = config.d_model, config.d_ff, config.n_heads
-        self.embed_table = store.embedding_table("embedding.table", config.vocab_size, d)
+        self.embed_table = store.leaf((config.vocab_size, d), "embedding", name="embedding.table")
         self.enc_blocks = [
             _make_attn_ffn(store, [_name("enc", i, b) for b in self.branches], "attn", d, h, f)
             for i in range(config.n_blocks)
@@ -380,22 +361,23 @@ class Seq2SeqModel:
         self.dec_blocks = []
         for i in range(config.n_blocks):
             p = f"dec.{i}"
-            block = {
-                "self_attn": _make_mha(store, f"{p}.self_attn", d, h),
-                "self_norm": _make_norm(store, f"{p}.self_norm", d),
-                "branch": _make_attn_ffn(store, [_name(p, b) for b in self.branches], "cross", d, h, f),
-            }
+            block = {"self_attn": _make_mha(store, d, h), "self_norm": _make_norm(store, d)}
+            _name_views(store, [p], block)
+            block["branch"] = _make_attn_ffn(store, [_name(p, b) for b in self.branches], "cross", d, h, f)
             if len(self.branches) == 2:
-                block["merge_w"] = store.xavier(f"{p}.merge.w", 2 * d, d)
-                block["merge_b"] = store.zeros(f"{p}.merge.b", (d,))
-                block["merge_norm"] = _make_norm(store, f"{p}.merge_norm", d)
-                block["ffn"] = _make_ffn(store, f"{p}.ffn", d, f)
-                block["ffn_norm"] = _make_norm(store, f"{p}.ffn_norm", d)
+                block["merge_w"] = store.leaf((2 * d, d), "xavier", name=f"{p}.merge.w")
+                block["merge_b"] = store.leaf((d,), "zeros", name=f"{p}.merge.b")
+                shared = {"merge_norm": _make_norm(store, d), "ffn": _make_ffn(store, d, f),
+                          "ffn_norm": _make_norm(store, d)}
+                _name_views(store, [p], shared)
+                block |= shared
             self.dec_blocks.append(block)
         if config.n_blocks:
+            lead = (2,) if len(self.branches) == 2 else ()
+            self.enc_final, self.dec_final = _make_norm(store, d, lead), _make_norm(store, d)
             names = [f"enc.final_{b}_norm" if b else "enc.final_norm" for b in self.branches]
-            self.enc_final = store.stack([_make_norm(store, n, d) for n in names])
-            self.dec_final = _make_norm(store, "dec.final_norm", d)
+            _name_views(store, names, {"": self.enc_final})
+            _name_views(store, ["dec.final_norm"], {"": self.dec_final})
         self.params = store.finish()
         self.param_arena, self.grad_arena = store.data, store.grad
         self.places = store.places

@@ -90,15 +90,19 @@ class TrainState:
         """Read a state file; a truncated or malformed one raises DataError naming it."""
         try:
             with np.load(path) as zf:
-                meta = zf["meta"]
+                meta = zf["meta"].astype(np.float64)
                 m = {k[2:]: zf[k] for k in zf.files if k.startswith("m/")}
                 v = {k[2:]: zf[k] for k in zf.files if k.startswith("v/")}
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError, RuntimeError) as exc:
             # some corrupt zip headers raise OSError or NotImplementedError (a RuntimeError)
             raise DataError(f"{path}: not a readable training state: {exc}") from None
-        return cls(
-            step=int(meta[0]), epoch=int(meta[1]), best_dev_bleu=float(meta[2]), m=m, v=v
-        )
+        finite = meta.shape == (3,) and np.isfinite(meta).all()
+        if not (finite and meta[0] >= 0 and meta[1] >= 0 and meta[0] % 1 == meta[1] % 1 == 0):
+            raise DataError(
+                f"{path}: malformed training state: meta {meta.ravel()[:4].tolist()} of shape "
+                f"{meta.shape} is not a whole non-negative step and epoch and a finite best dev BLEU"
+            )
+        return cls(step=int(meta[0]), epoch=int(meta[1]), best_dev_bleu=float(meta[2]), m=m, v=v)
 
     def check_matches(self, model: Seq2SeqModel, path) -> None:
         """Raise DataError naming ``path`` unless both moments hold exactly
@@ -174,10 +178,13 @@ class RunRecord:
     def test_bleus(self):
         return [r[4] for r in self.rows]
 
+    @staticmethod
+    def log_row(epoch, train_loss, valid_loss, dev_bleu, test_bleu) -> str:
+        """One loss-log line: the epoch, then each number to 6 significant digits."""
+        return f"{epoch} {train_loss:.6g} {valid_loss:.6g} {dev_bleu:.6g} {test_bleu:.6g}\n"
+
     def to_log(self) -> str:
-        return "".join(
-            f"{e} {t:.6g} {v:.6g} {d:.6g} {b:.6g}\n" for e, t, v, d, b in self.rows
-        )
+        return "".join(self.log_row(*row) for row in self.rows)
 
     @classmethod
     def from_log(cls, text: str, path=None) -> "RunRecord":
@@ -260,7 +267,6 @@ def run_experiment(
     seed: int,
     hp: TrainParams | None = None,
     resume: bool = False,
-    log_name: str = "loss.log",
     quiet: bool = True,
 ) -> RunRecord:
     """Train, checkpoint, and score one model; append one loss-log line per epoch.
@@ -273,7 +279,7 @@ def run_experiment(
     hp = hp or TrainParams()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / log_name
+    log_path = out_dir / "loss.log"
     base_rng = Rng(seed)
 
     start_epoch = 0
@@ -326,7 +332,7 @@ def run_experiment(
         save_model(_ckpt_path(out_dir, epoch), model, step=state.step)
         state.save(_state_path(out_dir, epoch))
         with open(log_path, "a", encoding="utf-8") as fh:
-            fh.write(f"{epoch} {train_loss:.6g} {vloss:.6g} {dev_bleu:.6g} {test_bleu:.6g}\n")
+            fh.write(records.log_row(*records.rows[-1]))
         if not quiet:
             print(
                 f"epoch {epoch}: train {train_loss:.4f} valid {vloss:.4f} "

@@ -363,6 +363,24 @@ def test_resume_from_state_file_not_matching_the_model_exits_two(capsys, tmp_pat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "meta",
+    [[1.0, 1.0], [np.nan, 1.0, -1.0], [[1.0, 1.0, -1.0]], 1.0, [-1.0, 1.0, -1.0], [1.5, 1.0, -1.0], [1.0, 1.0, np.inf]],
+    ids=["two-entries", "nan-step", "2-d", "0-d", "negative-step", "fractional-step", "infinite-bleu"],
+)
+def test_resume_from_state_file_with_malformed_meta_exits_two(capsys, tmp_path, meta):
+    argv = _train_argv(capsys, tmp_path)
+    state = tmp_path / "run" / "epoch001.state.npz"
+    with np.load(state) as zf:
+        arrays = {k: zf[k] for k in zf.files}
+    arrays["meta"] = np.array(meta, dtype=np.float64)
+    np.savez(state, **arrays)
+    code, _, err = run_cli(capsys, *argv, "--epochs", "2", "--resume")
+    assert code == 2
+    assert f"{state}: malformed training state" in err
+    assert "Traceback" not in err
+
+
 def test_resume_over_a_malformed_loss_log_row_exits_two_naming_the_log(capsys, tmp_path):
     argv = _train_argv(capsys, tmp_path)
     log = tmp_path / "run" / "loss.log"

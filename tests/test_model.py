@@ -2,6 +2,7 @@
 parameter counting, positional encodings."""
 
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -518,6 +519,28 @@ def test_every_parameter_is_a_view_of_the_arenas(tmp_path, arch, source):
     assert np.all(tags > 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["tiny", "transformer-tiny"])
+def test_initial_parameters_are_drawn_by_their_rules_in_checkpoint_order(name, dtype):
+    # the definition, parameter by parameter: the embedding U(+-sqrt(3/d)),
+    # gains 1, biases 0, each 2-d weight Xavier at its own shape, every
+    # draw from one init stream in checkpoint order
+    model = build_model(preset(name), Rng(41), dtype=dtype)
+    rng = Rng(41).fork("init")
+    for pname, p in model.params.items():
+        shape = p.data.shape
+        if pname == "embedding.table":
+            limit = np.sqrt(3.0 / shape[1])
+            want = rng.uniform_range(-limit, limit, shape)
+        elif len(shape) == 1:
+            want = np.full(shape, 1.0 if pname.endswith(".gain") else 0.0)
+        else:
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            want = rng.uniform_range(-limit, limit, shape)
+        assert p.data.dtype == dtype, pname
+        assert p.data.tobytes() == want.astype(dtype).tobytes(), pname
+
+
 @pytest.mark.parametrize("arch, merges", [("thm", 0), ("transformer", 0)])
 def test_the_only_concat_in_a_training_step_is_the_decoder_merge(arch, merges):
     # the gates are projected by their fused weights and THM folds its branch
@@ -718,6 +741,17 @@ def test_checkpoint_empty_name_record_rejected(tmp_path):
     path, blob, _ = _saved_blob(tmp_path)
     path.write_bytes(blob + bytes(12))
     with pytest.raises(DataError, match=rf"{path.name}: byte {len(blob)}: record has an empty parameter name"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_duplicate_record_rejected(tmp_path):
+    # a second embedding.table record, full of 7s, must not replace the first
+    path, blob, model = _saved_blob(tmp_path)
+    table = np.full(model.embed_table.data.shape, 7.0, dtype="<f4")
+    name = b"embedding.table"
+    record = struct.pack("<I", len(name)) + name + struct.pack("<3I", 2, *table.shape) + table.tobytes()
+    path.write_bytes(blob + record)
+    with pytest.raises(DataError, match=rf"{path.name}: byte {len(blob)}: duplicate record of parameter embedding.table"):
         load_checkpoint(path)
 
 
