@@ -126,12 +126,24 @@ def build_parser() -> _Parser:
             kwargs = dict(kwargs)
             if kwargs.pop("required", False):
                 kwargs["default"] = None
-                kwargs.setdefault("help", "")
-                kwargs["help"] += " [required]"
-                p.add_argument(flag, **kwargs)
-            else:
-                p.add_argument(flag, **kwargs)
+                kwargs["help"] = kwargs.get("help", "") + " [required]"
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_value(spec: dict, value: str):
+    """A config-file value converted and checked as its flag's would be."""
+    if spec.get("action") == "store_true":
+        if value.lower() not in _BOOLEANS:
+            raise ValueError(f"{value!r} is not one of {'/'.join(_BOOLEANS)}")
+        return _BOOLEANS[value.lower()]
+    converted = spec.get("type", str)(value)
+    if "choices" in spec and converted not in spec["choices"]:
+        raise ValueError(f"{value!r} is not one of {', '.join(map(str, spec['choices']))}")
+    return converted
 
 
 def _apply_config_file(command: str, args: argparse.Namespace, argv: list[str]):
@@ -151,14 +163,11 @@ def _apply_config_file(command: str, args: argparse.Namespace, argv: list[str]):
             raise ValueError(f"{args.config}:{lineno}: unknown config key {key!r}")
         if key in given:
             continue
-        attr = key.replace("-", "_")
-        current = getattr(args, attr)
         spec = dict(_COMMANDS[command])[known[key]]
-        if spec.get("action") == "store_true":
-            setattr(args, attr, value.strip().lower() in ("1", "true", "yes"))
-        else:
-            converter = spec.get("type", str)
-            setattr(args, attr, converter(value.strip()))
+        try:
+            setattr(args, key.replace("-", "_"), _config_value(spec, value.strip()))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}:{lineno}: bad value for {key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +290,7 @@ def _cmd_gradcheck(args) -> int:
     batch = make_batches(corpus, bpe, 64, rng.fork("batch"))[0]
 
     report = finite_diff_check(
-        lambda: model.loss_on_batch(batch, training=True),
+        lambda: model.loss_on_batch(batch),
         model.params,
         max_entries_per_param=None if args.exhaustive else args.entries,
         rng=rng.fork("entries"),

@@ -208,7 +208,7 @@ def gen_synthetic(
     pairs = []
     for _ in range(n_pairs):
         n = lo + rng.integer(hi - lo + 1)
-        words = [tokens[rng.integer(len(tokens))] for _ in range(n)]
+        words = [tokens[i] for i in rng.integers(len(tokens), (n,)).tolist()]
         if task == "copy":
             out = words
         elif task == "reverse":

@@ -26,11 +26,13 @@ decoder's shared state does not, and both branches read it. A routing is a
 channel index per gate: the crossed query reads channels (1, 0), keys and
 values (0, 1). The transformer has no branch axis.
 
-Inference decodes incrementally (Shazeer 2019): ``start_decode`` encodes a
-padded batch of sources and projects the cross-attention keys and values
-once, and each ``step_logprobs`` feeds one token per row against cached
-self-attention keys and values. ``next_logprobs`` re-runs the decoder over
-the whole prefix and is the reference the cached path is tested against.
+The decoder runs through one feed (Shazeer 2019): ``_feed`` runs it over
+the next target positions of a ``DecodeState``, which holds the
+cross-attention keys and values projected once and the self-attention keys
+and values fed so far. ``decode`` feeds a whole target to an empty state;
+``step_logprobs`` feeds one token per row. ``next_logprobs``, the reference
+the cached path is tested against, re-runs the whole prefix. Dropout is on
+exactly when a forward call is given an rng.
 """
 from __future__ import annotations
 
@@ -314,6 +316,13 @@ def _norm(x: Tensor, p: NormParams) -> Tensor:
     return layer_norm(x, p.gain, p.bias, LAYER_NORM_EPS)
 
 
+def _log_softmax64(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, computed in float64."""
+    x = logits.astype(np.float64)
+    x -= x.max(axis=-1, keepdims=True)
+    return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+
+
 @dataclass
 class EncoderMemory:
     """The final encoder states, behind the branch axis for THM, and the
@@ -325,7 +334,7 @@ class EncoderMemory:
 
 @dataclass
 class DecodeState:
-    """Incremental decoding of a batch of rows (sentences or hypotheses).
+    """The decoder's state over a batch of rows (sentences or hypotheses).
 
     ``cross[i]`` holds decoder block i's cross-attention (keys, values),
     projected once from the encoder memory; ``past[i]`` holds its
@@ -396,36 +405,27 @@ class Seq2SeqModel:
         if length > self.config.max_len:
             raise DataError(f"{what} length {length} exceeds max_len {self.config.max_len}")
 
-    def embed_tokens(
-        self,
-        ids: np.ndarray,
-        training: bool = False,
-        rng: Rng | None = None,
-        start: int = 0,
-    ) -> Tensor:
+    def embed_tokens(self, ids: np.ndarray, rng: Rng | None = None, start: int = 0) -> Tensor:
         """Shared-table lookup scaled by sqrt(d) plus sinusoidal positions;
         ``ids`` sit at positions ``start``, ``start + 1``, ..."""
         ids = np.asarray(ids)
         self._check_len(start + ids.shape[-1], "sequence")
         x = scale(embedding(self.embed_table, ids), float(np.sqrt(self.config.d_model)))
         x = add(x, Tensor(self.positions[start : start + ids.shape[-1]]))
-        return dropout(x, self.config.dropout_p, rng, training)
+        return dropout(x, self.config.dropout_p, rng)
 
-    def _sublayer(self, x: Tensor, sub_out: Tensor, norm: NormParams, training, rng) -> Tensor:
+    def _sublayer(self, x: Tensor, sub_out: Tensor, norm: NormParams, rng) -> Tensor:
         """Post-norm residual: layer_norm(x + dropout(sub_out)), one tape op."""
-        p = self.config.dropout_p
-        return residual_norm(x, sub_out, p, rng, training, norm.gain, norm.bias, LAYER_NORM_EPS)
+        return residual_norm(x, sub_out, self.config.dropout_p, rng, norm.gain, norm.bias, LAYER_NORM_EPS)
 
-    def _ffn_sublayer(self, x: Tensor, sub: dict, training, rng) -> Tensor:
-        return self._sublayer(x, _ffn(x, sub["ffn"]), sub["ffn_norm"], training, rng)
+    def _ffn_sublayer(self, x: Tensor, sub: dict, rng) -> Tensor:
+        return self._sublayer(x, _ffn(x, sub["ffn"]), sub["ffn_norm"], rng)
 
     def project_vocab(self, h: Tensor) -> Tensor:
         """Output projection tied to the transposed embedding table."""
         return matmul(h, transpose(self.embed_table))
 
-    def encode(
-        self, *srcs: np.ndarray, training: bool = False, rng: Rng | None = None, routing: tuple | None = None
-    ) -> EncoderMemory:
+    def encode(self, *srcs: np.ndarray, rng: Rng | None = None, routing: tuple | None = None) -> EncoderMemory:
         """Run every branch over its own padded source batch.
 
         THM takes two (possibly differently corrupted) copies of the same
@@ -444,69 +444,67 @@ class Seq2SeqModel:
         if routing is None:
             routing = crossed_routing() if len(self.branches) == 2 else (self_routing(LEFT),)
         key_bias = padding_mask(srcs[0] == PAD_ID, self.dtype)
-        x = self.embed_tokens(np.stack(srcs) if len(srcs) > 1 else srcs[0], training=training, rng=rng)
+        x = self.embed_tokens(np.stack(srcs) if len(srcs) > 1 else srcs[0], rng)
         for block in self.enc_blocks:
             y = routed_attention(x, routing, block["attn"], key_bias)
-            x = self._sublayer(x, y, block["attn_norm"], training, rng)
-            x = self._ffn_sublayer(x, block, training, rng)
+            x = self._sublayer(x, y, block["attn_norm"], rng)
+            x = self._ffn_sublayer(x, block, rng)
         if self.enc_blocks:
             x = _norm(x, self.enc_final)
         return EncoderMemory(x, key_bias)
 
-    def _cross_kv(self, memory: EncoderMemory) -> list[tuple[Tensor, Tensor]]:
-        """Every decoder block's cross-attention (keys, values) of the memory."""
+    def _decode_state(self, memory: EncoderMemory) -> DecodeState:
+        """An empty decode state over ``memory``: every decoder block's
+        cross-attention (keys, values) of it, projected once."""
         cross = [block["branch"]["cross"] for block in self.dec_blocks]
-        return [(split_heads(memory.state, c, "w_k"), split_heads(memory.state, c, "w_v")) for c in cross]
+        kv = [(split_heads(memory.state, c, "w_k"), split_heads(memory.state, c, "w_v")) for c in cross]
+        return DecodeState(memory.key_bias, kv, [None] * len(self.dec_blocks))
 
-    def _decoder_stack(self, t: Tensor, cross, past, self_mask, cross_mask, training, rng):
-        """Run the decoder blocks over the target positions ``t``.
-
-        ``cross[i]`` holds block i's cross-attention (keys, values);
-        ``past[i]`` is block i's self-attention (keys, values) of the
-        positions before ``t``, or None. THM folds its branch outputs into
-        one (B, m, 2d) input of the merge. Returns the final hidden states
-        and every block's self-attention (keys, values) through ``t``.
-        """
+    def _feed(self, state: DecodeState, ids, rng: Rng | None = None) -> Tensor:
+        """Run the decoder blocks over target ``ids`` (rows, m) at positions
+        ``state.length`` onward, each position attending to itself and every
+        position before it; returns the final hidden states. Appends each
+        block's self-attention (keys, values) of ``ids`` to ``state.past``
+        and advances ``state.length`` by m. THM folds its branch outputs
+        into one (rows, m, 2d) input of the merge."""
+        ids = np.atleast_2d(np.asarray(ids))
+        m = ids.shape[-1]
+        self._check_len(state.length + m, "target")
+        t = self.embed_tokens(ids, rng, start=state.length)
+        self_mask = causal_mask(state.length + m, self.dtype)[state.length :] if m > 1 else None
         present = []
-        for block, kv, block_past in zip(self.dec_blocks, cross, past):
+        for block, kv, past in zip(self.dec_blocks, state.cross, state.past):
             sa = block["self_attn"]
             kh, vh = split_heads(t, sa, "w_k"), split_heads(t, sa, "w_v")
-            if block_past is not None:
-                kh, vh = (concat([old, new], axis=-2) for old, new in zip(block_past, (kh, vh)))
+            if past is not None:
+                kh, vh = (concat([old, new], axis=-2) for old, new in zip(past, (kh, vh)))
             present.append((kh, vh))
             attn = attend_heads(split_heads(t, sa, "w_q"), kh, vh, sa, self_mask)
-            s = self._sublayer(t, attn, block["self_norm"], training, rng)
+            s = self._sublayer(t, attn, block["self_norm"], rng)
             # every branch at once: the shared state is their query and residual
             sub = block["branch"]
-            attn = attend_heads(split_heads(s, sub["cross"], "w_q"), *kv, sub["cross"], cross_mask)
-            c = self._sublayer(s, attn, sub["cross_norm"], training, rng)
-            t = self._ffn_sublayer(c, sub, training, rng)
+            attn = attend_heads(split_heads(s, sub["cross"], "w_q"), *kv, sub["cross"], state.key_bias)
+            c = self._sublayer(s, attn, sub["cross_norm"], rng)
+            t = self._ffn_sublayer(c, sub, rng)
             if len(self.branches) == 2:
                 merged = linear(fold_branches(t), block["merge_w"], block["merge_b"])
-                u = self._sublayer(s, merged, block["merge_norm"], training, rng)
-                t = self._ffn_sublayer(u, block, training, rng)
-        if self.dec_blocks:
-            t = _norm(t, self.dec_final)
-        return t, present
+                u = self._sublayer(s, merged, block["merge_norm"], rng)
+                t = self._ffn_sublayer(u, block, rng)
+        state.past, state.length = present, state.length + m
+        return _norm(t, self.dec_final) if self.dec_blocks else t
 
-    def decode(self, memory: EncoderMemory, tgt_in, training=False, rng=None) -> Tensor:
-        tgt_in = np.atleast_2d(np.asarray(tgt_in))
-        m = tgt_in.shape[-1]
-        self._check_len(m, "target")
-        t = self.embed_tokens(tgt_in, training=training, rng=rng)
-        cross, past = self._cross_kv(memory), [None] * len(self.dec_blocks)
-        t, _ = self._decoder_stack(
-            t, cross, past, causal_mask(m, self.dtype), memory.key_bias, training, rng
-        )
-        return self.project_vocab(t)
+    def decode(self, memory: EncoderMemory, tgt_in, rng: Rng | None = None) -> Tensor:
+        """Teacher-forced logits of every position of ``tgt_in``."""
+        return self.project_vocab(self._feed(self._decode_state(memory), tgt_in, rng))
 
-    def forward_logits(self, batch, training: bool = False, rng: Rng | None = None) -> Tensor:
+    def forward_logits(self, batch, rng: Rng | None = None) -> Tensor:
         srcs = (batch.src_corrupt_left, batch.src_corrupt_right) if len(self.branches) == 2 else (batch.src,)
-        memory = self.encode(*srcs, training=training, rng=rng)
-        return self.decode(memory, batch.tgt_in, training=training, rng=rng)
+        return self.decode(self.encode(*srcs, rng=rng), batch.tgt_in, rng)
 
-    def loss_on_batch(self, batch, training: bool = False, rng: Rng | None = None) -> Tensor:
-        logits = self.forward_logits(batch, training=training, rng=rng)
+    def loss_on_batch(self, batch, rng: Rng | None = None) -> Tensor:
+        """Label-smoothed cross-entropy of a batch; dropout is on exactly
+        when ``rng`` is given."""
+        logits = self.forward_logits(batch, rng)
         return cross_entropy(
             logits, batch.tgt_out, smoothing=self.config.label_smoothing, pad_id=PAD_ID
         )
@@ -520,9 +518,7 @@ class Seq2SeqModel:
         cached ``step_logprobs`` is tested against.
         """
         ids = np.asarray(prefix, dtype=np.int64)[None, :]
-        logits = self.decode(memory, ids).data[0, -1].astype(np.float64)
-        logits -= logits.max()
-        return logits - np.log(np.exp(logits).sum())
+        return _log_softmax64(self.decode(memory, ids).data[0, -1])
 
     def start_decode(self, sources: list[list[int]]) -> DecodeState:
         """Encode ``sources`` as one batch padded with PAD_ID, and project each
@@ -537,25 +533,14 @@ class Seq2SeqModel:
         # no tape: the state outlives the call, and a tape would chain every step
         with no_grad():
             # every branch reads the clean source at inference
-            memory = self.encode(*[ids] * len(self.branches))
-            cross = self._cross_kv(memory)
-        return DecodeState(memory.key_bias, cross, [None] * len(self.dec_blocks))
+            return self._decode_state(self.encode(*[ids] * len(self.branches)))
 
     def step_logprobs(self, state: DecodeState, tokens) -> np.ndarray:
         """Feed one token per row at the next position; (rows, V) float64
-        log-probabilities of the token after it. Appends that position's
-        self-attention keys and values to ``state``."""
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
-        self._check_len(state.length + 1, "target")
+        log-probabilities of the token after it."""
         with no_grad():
-            t = self.embed_tokens(tokens, start=state.length)
-            t, state.past = self._decoder_stack(
-                t, state.cross, state.past, None, state.key_bias, False, None
-            )
-            logits = self.project_vocab(t).data[:, -1].astype(np.float64)
-        state.length += 1
-        logits -= logits.max(axis=-1, keepdims=True)
-        return logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+            t = self._feed(state, np.asarray(tokens, dtype=np.int64).reshape(-1, 1))
+            return _log_softmax64(self.project_vocab(t).data[:, -1])
 
     def reorder(self, state: DecodeState, rows) -> None:
         """Keep only ``rows`` of ``state``, in that order; a row may repeat."""

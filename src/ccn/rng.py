@@ -93,9 +93,11 @@ class Rng:
         return (self.uniform(shape) * bound).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n)."""
+        """Fisher-Yates shuffle of range(n): swap i = n-1, ..., 1 with
+        j = integer(i + 1), the j drawn in one call."""
         out = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
+        bounds = np.arange(n, 1, -1)  # i + 1
+        js = (self.uniform(bounds.shape) * bounds).astype(np.int64)
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             out[i], out[j] = out[j], out[i]
         return out

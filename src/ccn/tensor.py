@@ -21,7 +21,8 @@ split into heads, optionally reading the branches' channels crossed),
 and head merge; only the probabilities are saved) and ``residual_norm``
 (layer_norm(x + dropout(y)), not keeping the sum). Each computes the same
 numbers, in the same order, as the composition of the plain ops it
-replaces.
+replaces. ``dropout`` and ``residual_norm`` drop exactly when given an rng;
+without one (inference) nothing is dropped.
 """
 
 from __future__ import annotations
@@ -392,22 +393,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (a, gain, bias), backward)
 
 
-def _dropout_mask(shape, dtype, p: float, rng: Rng | None, training: bool):
+def _dropout_mask(shape, dtype, p: float, rng: Rng | None):
     """Dropout's mask, 1/(1-p) where an element survives and 0 elsewhere, or
-    None when dropout is off (inference, or p = 0)."""
+    None when dropout is off: no ``rng`` (inference), or p = 0, which draws
+    nothing from the rng."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return None
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     keep = rng.uniform_at_least(shape, p)
     return keep.astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
 
 
-def dropout(a: Tensor, p: float, rng: Rng | None, training: bool) -> Tensor:
-    """Zero elements with probability p and rescale survivors by 1/(1-p)."""
-    mask = _dropout_mask(a.data.shape, a.data.dtype, p, rng, training)
+def dropout(a: Tensor, p: float, rng: Rng | None) -> Tensor:
+    """Zero elements with probability p and rescale survivors by 1/(1-p),
+    drawing the mask from ``rng``; without one, return ``a``."""
+    mask = _dropout_mask(a.data.shape, a.data.dtype, p, rng)
     if mask is None:
         return a
     data = a.data * mask
@@ -419,14 +420,14 @@ def dropout(a: Tensor, p: float, rng: Rng | None, training: bool) -> Tensor:
 
 
 def residual_norm(
-    x: Tensor, y: Tensor, p: float, rng: Rng | None, training: bool, gain: Tensor, bias: Tensor, eps: float
+    x: Tensor, y: Tensor, p: float, rng: Rng | None, gain: Tensor, bias: Tensor, eps: float
 ) -> Tensor:
     """layer_norm(x + dropout(y)) as one node: the post-norm residual
     sublayer with residual dropout (Vaswani et al. 2017, sections 3.1 and
     5.4). The mask is drawn as ``dropout`` draws it; the sum x + dropout(y)
     is not kept. ``x`` may lack y's leading branch axis: it is then shared
     by every branch, and its gradient sums over them."""
-    mask = _dropout_mask(y.data.shape, y.data.dtype, p, rng, training)
+    mask = _dropout_mask(y.data.shape, y.data.dtype, p, rng)
     if mask is None:
         s = x.data + y.data
     else:

@@ -138,7 +138,7 @@ def train_step(
     model.zero_grads()
     total_loss, total_tokens = 0.0, 0
     for b in micro:
-        loss = model.loss_on_batch(b, training=True, rng=rng)
+        loss = model.loss_on_batch(b, rng)
         value = float(loss.data)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at step {state.step + 1}", step=state.step + 1)

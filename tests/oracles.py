@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations used by the tests.
 
 These deliberately re-derive results from definitions, sharing no code with
-the library paths they certify. Two helpers ride along: ``tape_ops`` counts
-the nodes of a tape, and ``FailingArray`` makes a file write fail midway.
+the library paths they certify. The random-draw references draw one
+scalar ``Rng.integer`` at a time, the stream the vectorised draws must
+reproduce. Two helpers ride along: ``tape_ops`` counts the nodes of a tape,
+and ``FailingArray`` makes a file write fail midway.
 """
 
 import math
@@ -38,6 +40,27 @@ def adam_reference(p, g, m, v, lr, beta1, beta2, eps, t):
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def synthetic_pairs_reference(task, tokens, n_pairs, len_range, rng):
+    """``gen_synthetic``'s pairs over ``tokens``, one scalar draw per token."""
+    lo, hi = len_range
+    pairs = []
+    for _ in range(n_pairs):
+        n = lo + rng.integer(hi - lo + 1)
+        words = [tokens[rng.integer(len(tokens))] for _ in range(n)]
+        out = {"copy": words, "reverse": words[::-1], "sort": sorted(words)}[task]
+        pairs.append((" ".join(words), " ".join(out)))
+    return pairs
+
+
+def permutation_reference(rng, n):
+    """Fisher-Yates shuffle of range(n), one scalar draw per swap."""
+    out = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.integer(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
 
 
 def tape_ops(out: Tensor) -> int:

@@ -142,7 +142,7 @@ def test_acceptance_4_full_model_gradient_check():
     assert batch.src.shape[0] == 2
     start = time.perf_counter()
     report = finite_diff_check(
-        lambda: model.loss_on_batch(batch, training=True), model.params
+        lambda: model.loss_on_batch(batch), model.params
     )
     elapsed = time.perf_counter() - start
     assert report.max_rel_error < 1e-4, report.worst()

@@ -138,6 +138,29 @@ def test_config_file_unknown_key_exits_one(capsys, tmp_path):
     assert "nonsense" in err
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("make-synth", "n-train=abc"),
+        ("train", "resume=maybe"),
+        ("param-count", "preset=nope"),
+        ("translate", "beam=2.5"),
+    ],
+)
+def test_config_file_bad_value_exits_one_naming_file_and_line(capsys, tmp_path, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# defaults\n{line}\n")
+    code, _, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert f"{cfg}:2: bad value for {line.split('=')[0]}: " in err
+
+
+def test_config_file_booleans_read_as_store_true_flags():
+    spec = dict(cli._COMMANDS["train"])["--resume"]
+    values = ("1", "TRUE", "yes", "0", "False", "no")
+    assert [cli._config_value(spec, v) for v in values] == [True] * 3 + [False] * 3
+
+
 def test_select_model_and_plot_loss(capsys, tmp_path):
     log = tmp_path / "loss.log"
     log.write_text("1 3.0 3.1 10 11\n2 2.0 2.1 30 29\n3 1.5 1.9 20 33\n")

@@ -11,10 +11,12 @@ from ccn.data import (
     load_corpus,
     make_batches,
     save_corpus,
+    token_alphabet,
     token_swap_corrupt,
 )
 from ccn.errors import DataError
 from ccn.rng import Rng
+from oracles import permutation_reference, synthetic_pairs_reference
 
 
 def test_swap_short_sequence_unchanged():
@@ -220,3 +222,19 @@ def test_corpus_save_load_round_trip(tmp_path):
     save_corpus(corpus, tmp_path / "x.src", tmp_path / "x.tgt")
     loaded = load_corpus(tmp_path / "x.src", tmp_path / "x.tgt")
     assert loaded.pairs == corpus.pairs
+
+
+@pytest.mark.parametrize("task", ["copy", "reverse", "sort"])
+@pytest.mark.parametrize("vocab_size, len_range", [(8, (1, 6)), (300, (3, 12))])
+def test_gen_synthetic_draws_the_scalar_stream(task, vocab_size, len_range):
+    got, ref = Rng(21).fork(task), Rng(21).fork(task)
+    corpus = gen_synthetic(task, vocab_size, 40, len_range, got)
+    assert corpus.pairs == synthetic_pairs_reference(task, token_alphabet(vocab_size), 40, len_range, ref)
+    assert got.uniform() == ref.uniform()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 2000])
+def test_permutation_draws_the_scalar_fisher_yates_stream(n):
+    got, ref = Rng(22).fork(n), Rng(22).fork(n)
+    assert got.permutation(n).tolist() == permutation_reference(ref, n)
+    assert got.uniform() == ref.uniform()

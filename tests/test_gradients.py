@@ -90,7 +90,7 @@ def test_grad_cross_entropy_with_smoothing_and_pads():
 def test_grad_dropout_fixed_mask():
     rng = np.random.default_rng(9)
     x = T.parameter("x", rng.normal(size=(5, 6)))
-    _check(lambda: T.mean_all(T.dropout(x, 0.4, Rng(11), training=True)), {"x": x})
+    _check(lambda: T.mean_all(T.dropout(x, 0.4, Rng(11))), {"x": x})
 
 
 def test_grad_shared_parameter_two_consumers():
@@ -183,7 +183,7 @@ def test_grad_residual_norm(p):
 
     def build():
         # a fresh Rng per evaluation draws the same mask every time
-        out = T.residual_norm(x, y, p, Rng(11), True, gain, bias, 1e-5)
+        out = T.residual_norm(x, y, p, Rng(11), gain, bias, 1e-5)
         return T.mean_all(T.mul(out, weights))
 
     _check(build, {"x": x, "y": y, "gain": gain, "bias": bias})
@@ -198,7 +198,7 @@ def test_grad_residual_norm_stacked_with_a_shared_residual():
     weights = T.Tensor(rng.normal(size=(2, 2, 3, 6)))
 
     def build():
-        out = T.residual_norm(x, y, 0.4, Rng(12), True, gain, bias, 1e-5)
+        out = T.residual_norm(x, y, 0.4, Rng(12), gain, bias, 1e-5)
         return T.mean_all(T.mul(out, weights))
 
     _check(build, {"x": x, "y": y, "gain": gain, "bias": bias})

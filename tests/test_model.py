@@ -202,9 +202,25 @@ def test_determinism_same_seed_same_logits():
     for _ in range(2):
         model = build_model(cfg, Rng(11))
         batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
-        logits = model.forward_logits(batch, training=True, rng=Rng(13))
+        logits = model.forward_logits(batch, rng=Rng(13))
         outs.append(logits.data.copy())
     assert np.array_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+def test_dropout_is_on_exactly_when_an_rng_is_given(arch):
+    corpus = gen_synthetic("copy", 12, 4, (3, 5), Rng(0))
+    bpe = learn_bpe(corpus.lines(), 16)
+    cfg = tiny_cfg(arch, dropout_p=0.3, vocab_size=bpe.vocab_size)
+    batch = make_batches(corpus, bpe, 64, Rng(5))[0]
+    model = build_model(cfg, Rng(11), dtype=np.float64)
+    plain = build_model(replace(cfg, dropout_p=0.0), Rng(11), dtype=np.float64)
+    want = plain.loss_on_batch(batch).data
+    assert model.loss_on_batch(batch).data == want
+    assert model.loss_on_batch(batch, Rng(13)).data != want
+    rng = Rng(13)
+    assert plain.loss_on_batch(batch, rng).data == want
+    assert rng.uniform() == Rng(13).uniform()
 
 
 def test_baseline_encoder_matches_thm_left_branch_under_all_left_routing():
@@ -476,7 +492,7 @@ def test_a_forward_pass_builds_each_mask_bias_once(monkeypatch):
     bpe = learn_bpe(corpus.lines(), 16)
     model = build_model(tiny_cfg(dropout_p=0.1, vocab_size=bpe.vocab_size), Rng(32))
     batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
-    model.loss_on_batch(batch, training=True, rng=Rng(13))
+    model.loss_on_batch(batch, rng=Rng(13))
     b, n, m = *batch.src.shape, batch.tgt_in.shape[-1]
     assert built == [(b, 1, n), (m, m)]
     state = model.start_decode(DECODE_SOURCES)
@@ -549,7 +565,7 @@ def test_the_only_concat_in_a_training_step_is_the_decoder_merge(arch, merges):
     bpe = learn_bpe(corpus.lines(), 16)
     model = build_model(tiny_cfg(arch, dropout_p=0.1, vocab_size=bpe.vocab_size), Rng(28))
     batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
-    seen, stack, concats = set(), [model.loss_on_batch(batch, training=True, rng=Rng(13))], 0
+    seen, stack, concats = set(), [model.loss_on_batch(batch, rng=Rng(13))], 0
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -581,7 +597,7 @@ def test_training_step_computes_in_the_model_dtype(arch, dtype):
     cfg = tiny_cfg(arch, dropout_p=0.1, swap_prob=0.5, vocab_size=bpe.vocab_size)
     model = build_model(cfg, Rng(29), dtype=dtype)
     batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
-    loss = model.loss_on_batch(batch, training=True, rng=Rng(13))
+    loss = model.loss_on_batch(batch, rng=Rng(13))
     assert loss.data.dtype == np.float64
     seen, stack, nodes = set(), [loss], []
     while stack:
@@ -619,7 +635,7 @@ def test_tape_ops_per_tiny_training_step(name, expected):
     bpe = learn_bpe(train.lines(), 28)
     cfg = replace(preset(name), vocab_size=bpe.vocab_size)
     batch = make_batches(train, bpe, 512, Rng(4), swap_prob=cfg.swap_prob)[0]
-    loss = build_model(cfg, Rng(3)).loss_on_batch(batch, training=True, rng=Rng(5))
+    loss = build_model(cfg, Rng(3)).loss_on_batch(batch, rng=Rng(5))
     ops = tape_ops(loss)
     assert ops <= 180
     assert ops == expected

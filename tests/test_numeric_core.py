@@ -145,24 +145,24 @@ def test_layer_norm_rejects_nonpositive_eps():
 
 def test_dropout_p_zero_is_identity():
     x = T.Tensor(np.arange(12.0).reshape(3, 4))
-    assert T.dropout(x, 0.0, Rng(0), training=True) is x
+    assert T.dropout(x, 0.0, Rng(0)) is x
 
 
 def test_dropout_inference_is_identity():
     x = T.Tensor(np.arange(12.0).reshape(3, 4))
-    assert T.dropout(x, 0.9, None, training=False) is x
+    assert T.dropout(x, 0.9, None) is x
 
 
 def test_dropout_rejects_bad_probability():
     x = T.Tensor(np.zeros((2, 2)))
     for p in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
-            T.dropout(x, p, Rng(0), training=True)
+            T.dropout(x, p, Rng(0))
 
 
 def test_dropout_zeroed_fraction_binomial_bound():
     x = T.Tensor(np.ones((100, 1000)))
-    out = T.dropout(x, 0.5, Rng(42), training=True).data
+    out = T.dropout(x, 0.5, Rng(42)).data
     zeroed = float((out == 0.0).mean())
     assert 0.49 <= zeroed <= 0.51
     # survivors rescaled by 1/(1-p)
@@ -171,8 +171,8 @@ def test_dropout_zeroed_fraction_binomial_bound():
 
 def test_dropout_same_seed_bit_identical():
     x = T.Tensor(np.ones((50, 50)))
-    a = T.dropout(x, 0.3, Rng(7), training=True).data
-    b = T.dropout(x, 0.3, Rng(7), training=True).data
+    a = T.dropout(x, 0.3, Rng(7)).data
+    b = T.dropout(x, 0.3, Rng(7)).data
     assert np.array_equal(a, b)
 
 
@@ -180,7 +180,7 @@ def test_dropout_same_seed_bit_identical():
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
 def test_dropout_mask_is_the_uniform_threshold_and_advances_the_same(shape, p):
     a, b = Rng(11).fork("dropout"), Rng(11).fork("dropout")
-    out = T.dropout(T.Tensor(np.ones(shape)), p, a, training=True).data
+    out = T.dropout(T.Tensor(np.ones(shape)), p, a).data
     assert np.array_equal(out != 0.0, b.uniform(shape) >= p)
     assert np.array_equal(a.uniform((9,)), b.uniform((9,)))
 
@@ -435,9 +435,9 @@ def test_residual_norm_equals_layer_norm_of_the_dropout_sum_exactly(dtype, p_dro
     p = _leaves(rng, dtype, x=(2, 5, 8), y=(2, 5, 8), gain=(8,), bias=(8,))
     leaves = [p["x"], p["y"], p["gain"], p["bias"]]
     weights = rng.normal(size=(2, 5, 8)).astype(dtype)
-    fused = T.residual_norm(p["x"], p["y"], p_drop, Rng(5), True, p["gain"], p["bias"], 1e-5)
+    fused = T.residual_norm(p["x"], p["y"], p_drop, Rng(5), p["gain"], p["bias"], 1e-5)
     got = _value_and_grads(fused, weights, leaves)
-    dropped = T.dropout(p["y"], p_drop, Rng(5), training=True)
+    dropped = T.dropout(p["y"], p_drop, Rng(5))
     unfused = T.layer_norm(T.add(p["x"], dropped), p["gain"], p["bias"], 1e-5)
     _assert_all_equal(got, _value_and_grads(unfused, weights, leaves))
 
@@ -446,8 +446,8 @@ def test_residual_norm_draws_the_dropout_mask_and_advances_the_rng_as_dropout_do
     a, b = Rng(8), Rng(8)
     x, y = T.Tensor(np.zeros((3, 4))), T.Tensor(np.ones((3, 4)))
     one, zero = T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))
-    T.residual_norm(x, y, 0.5, a, True, one, zero, 1e-5)
-    T.dropout(y, 0.5, b, training=True)
+    T.residual_norm(x, y, 0.5, a, one, zero, 1e-5)
+    T.dropout(y, 0.5, b)
     assert np.array_equal(a.uniform((5,)), b.uniform((5,)))
 
 
@@ -456,13 +456,9 @@ def test_residual_norm_rejects_what_dropout_and_layer_norm_reject():
     one, zero = T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))
     for p in (-0.1, 1.0):
         with pytest.raises(ValueError, match="dropout probability"):
-            T.residual_norm(x, x, p, Rng(0), True, one, zero, 1e-5)
-    with pytest.raises(ValueError, match="needs an rng"):
-        T.residual_norm(x, x, 0.1, None, True, one, zero, 1e-5)
-    with pytest.raises(ValueError, match="dropout in training mode needs an rng"):
-        T.dropout(x, 0.1, None, training=True)
+            T.residual_norm(x, x, p, Rng(0), one, zero, 1e-5)
     with pytest.raises(ValueError, match="eps must be positive"):
-        T.residual_norm(x, x, 0.0, None, False, one, zero, 0.0)
+        T.residual_norm(x, x, 0.0, None, one, zero, 0.0)
 
 
 def test_fused_ops_raise_shape_error_on_mismatched_operands():

@@ -157,7 +157,7 @@ def test_gradient_accumulation_combines_micro_batches():
     m2 = build_model(cfg, Rng(18))
     m2.zero_grads()
     for b in batches[:2]:
-        m2.loss_on_batch(b, training=True, rng=Rng(19)).backward()
+        m2.loss_on_batch(b, rng=Rng(19)).backward()
     from ccn import kernels
 
     s2 = TrainState.for_model(m2)
@@ -187,7 +187,7 @@ def test_train_step_matches_a_per_parameter_adam_loop(dtype, accum):
         m2.zero_grads()
         rng = Rng(23).fork(step)
         for b in batches:
-            m2.loss_on_batch(b, training=True, rng=rng).backward()
+            m2.loss_on_batch(b, rng=rng).backward()
         lr = lr_at(step, cfg.d_model, hp.warmup)
         for n, p in m2.params.items():
             g = p.grad if accum == 1 else p.grad * (1.0 / accum)
