@@ -73,19 +73,36 @@ def length_filter(corpus: ParallelCorpus, max_len: int = 250, ratio_limit: float
 
 def token_swap_corrupt(ids, p: float, rng: Rng) -> list[int]:
     """With probability p, swap one uniformly chosen pair of non-special tokens."""
+    return token_swap_rows([ids], p, rng)[0]
+
+
+def token_swap_rows(rows, p: float, rng: Rng) -> list[list[int]]:
+    """``token_swap_corrupt`` of each row in turn, drawn in one vector call.
+
+    A row takes one uniform, and two more, scaled to integers as
+    ``Rng.integer`` scales them, when it swaps. The uniforms the rows could
+    need are read ahead without advancing, and the rng then skips the ones
+    they used, so the stream and the counter are the scalar draws'.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"swap probability must be in [0, 1], got {p}")
-    ids = list(ids)
-    eligible = [i for i, t in enumerate(ids) if t not in _SPECIAL_IDS]
-    if rng.uniform() >= p or len(eligible) < 2:
-        return ids
-    a = rng.integer(len(eligible))
-    b = rng.integer(len(eligible) - 1)
-    if b >= a:
-        b += 1
-    i, j = eligible[a], eligible[b]
-    ids[i], ids[j] = ids[j], ids[i]
-    return ids
+    draws = rng.peek(3 * len(rows)).tolist()
+    out, used = [], 0
+    for ids in rows:
+        ids = list(ids)
+        eligible = [i for i, t in enumerate(ids) if t not in _SPECIAL_IDS]
+        used += 1
+        if draws[used - 1] < p and len(eligible) >= 2:
+            a = int(draws[used] * len(eligible))
+            b = int(draws[used + 1] * (len(eligible) - 1))
+            used += 2
+            if b >= a:
+                b += 1
+            i, j = eligible[a], eligible[b]
+            ids[i], ids[j] = ids[j], ids[i]
+        out.append(ids)
+    rng.skip(used)
+    return out
 
 
 @dataclass
@@ -167,8 +184,8 @@ def make_batches(
     batches = []
     for group in groups:
         srcs = [encoded[i][0] for i in group]
-        left = [token_swap_corrupt(s, swap_prob, corrupt_left) for s in srcs]
-        right = [token_swap_corrupt(s, swap_prob, corrupt_right) for s in srcs]
+        left = token_swap_rows(srcs, swap_prob, corrupt_left)
+        right = token_swap_rows(srcs, swap_prob, corrupt_right)
         batches.append(
             Batch(
                 src=_pad_rows(srcs),

@@ -63,12 +63,12 @@ from .tensor import (
     cross_entropy,
     dropout,
     embedding,
+    ffn,
     fold_branches,
     layer_norm,
     linear,
     matmul,
     no_grad,
-    relu,
     residual_norm,
     scale,
     transpose,
@@ -308,10 +308,6 @@ def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
     return pe
 
 
-def _ffn(x: Tensor, p: FeedForwardParams) -> Tensor:
-    return linear(relu(linear(x, p.w1, p.b1)), p.w2, p.b2)
-
-
 def _norm(x: Tensor, p: NormParams) -> Tensor:
     return layer_norm(x, p.gain, p.bias, LAYER_NORM_EPS)
 
@@ -419,7 +415,8 @@ class Seq2SeqModel:
         return residual_norm(x, sub_out, self.config.dropout_p, rng, norm.gain, norm.bias, LAYER_NORM_EPS)
 
     def _ffn_sublayer(self, x: Tensor, sub: dict, rng) -> Tensor:
-        return self._sublayer(x, _ffn(x, sub["ffn"]), sub["ffn_norm"], rng)
+        p = sub["ffn"]
+        return self._sublayer(x, ffn(x, p.w1, p.b1, p.w2, p.b2), sub["ffn_norm"], rng)
 
     def project_vocab(self, h: Tensor) -> Tensor:
         """Output projection tied to the transposed embedding table."""

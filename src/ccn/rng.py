@@ -9,6 +9,7 @@ makes array draws vectorizable.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,12 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
+# draws per block of ``uniform_at_least``: its two uint64 scratch blocks
+# (256 KiB each) stay in a core's L2 cache while a block is mixed
+_BLOCK = 1 << 15
+_MASK64 = (1 << 64) - 1
+
+
 def _mix(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     """splitmix64 finalizer, elementwise; a uint64 array is mixed in place."""
     x ^= x >> _S30
@@ -32,6 +39,27 @@ def _mix(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     x *= _MIX2
     x ^= x >> _S31
     return x
+
+
+def _mix_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """``_mix`` of a uint64 array in place, its shifts written into ``tmp``
+    (x's shape) rather than into fresh arrays; on small arrays the ``out=``
+    calls cost more than ``_mix``'s operators."""
+    x ^= np.right_shift(x, _S30, out=tmp)
+    x *= _MIX1
+    x ^= np.right_shift(x, _S27, out=tmp)
+    x *= _MIX2
+    x ^= np.right_shift(x, _S31, out=tmp)
+
+
+@functools.cache
+def _golden_steps() -> np.ndarray:
+    """i * golden (mod 2**64) for i = 1, ..., _BLOCK: a block's counter
+    words before its offset is added."""
+    steps = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+    steps *= _GOLDEN
+    steps.flags.writeable = False
+    return steps
 
 
 def _hash_tag(tag) -> np.uint64:
@@ -66,6 +94,18 @@ class Rng:
         x >>= _S11
         return x
 
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms, as ``uniform((n,))`` draws them, without
+        advancing: a caller that uses only some of them ``skip``s as many."""
+        counter = self._counter
+        u = self.uniform((n,))
+        self._counter = counter
+        return u
+
+    def skip(self, n: int) -> None:
+        """Advance past ``n`` draws."""
+        self._counter += np.uint64(n)
+
     def uniform(self, shape=None) -> float | np.ndarray:
         """Uniform float64 draws in [0, 1)."""
         if shape is None:
@@ -74,8 +114,31 @@ class Rng:
         return u.reshape(shape)
 
     def uniform_at_least(self, shape, p: float) -> np.ndarray:
-        """``uniform(shape) >= p`` as a boolean array, compared as integers."""
-        keep = self._raw53(int(np.prod(shape))) >= np.uint64(math.ceil(p * 2.0**53))
+        """``uniform(shape) >= p`` as a boolean array, compared as integers.
+
+        The draws are mixed ``_BLOCK`` at a time in two reused scratch
+        blocks, and each whole 64-bit word is compared with the threshold
+        shifted up by the 11 bits ``_raw53`` drops: ``w >> 11 >= c`` exactly
+        when ``w >= c << 11``.
+        """
+        n = int(np.prod(shape))
+        c = math.ceil(p * 2.0**53)
+        if c <= 0 or c >= 1 << 53:  # every draw passes, or none does
+            keep = np.full(n, c <= 0)
+            self.skip(n)
+            return keep.reshape(shape)
+        threshold = np.array(c << 11, dtype=np.uint64)
+        keep = np.empty(n, dtype=bool)
+        x, tmp = np.empty(min(n, _BLOCK), dtype=np.uint64), np.empty(min(n, _BLOCK), dtype=np.uint64)
+        steps, counter, base = _golden_steps(), int(self._counter), int(self._base)
+        for lo in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - lo)
+            # draw i of the block is (counter + lo + i) * golden + base, i >= 1
+            offset = np.uint64(((counter + lo) * int(_GOLDEN) + base) & _MASK64)
+            np.add(steps[:m], offset, out=x[:m])
+            _mix_into(x[:m], tmp[:m])
+            np.greater_equal(x[:m], threshold, out=keep[lo : lo + m])
+        self.skip(n)
         return keep.reshape(shape)
 
     def uniform_range(self, lo: float, hi: float, shape=None):

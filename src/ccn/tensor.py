@@ -14,8 +14,9 @@ every branch. Verification runs use float64, training float32. An op keeps
 its operand's dtype and casts constants to it; only the scalar loss of
 ``cross_entropy`` is float64.
 
-The model's sublayers run on four fused ops, each one tape node with one
-hand-written backward: ``linear`` (x @ w + b), ``project_heads`` (x @ w
+The model's sublayers run on five fused ops, each one tape node with one
+hand-written backward: ``linear`` (x @ w + b), ``ffn`` (relu(x @ w1 + b1)
+@ w2 + b2, keeping only the relu's output), ``project_heads`` (x @ w
 split into heads, optionally reading the branches' channels crossed),
 ``attention_core`` (scores, scale, bias, softmax, values
 and head merge; only the probabilities are saved) and ``residual_norm``
@@ -196,20 +197,11 @@ def add_const(a: Tensor, c: np.ndarray) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-
-    def backward(g):
-        return ((a, g * (a.data > 0)),)
-
-    return _make(data, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product; operands may carry a leading batch dimension.
 
     A 2-d ``b`` (a weight) is ``linear``: one GEMM over all rows of ``a``,
-    forward and backward; a batched ``b`` broadcasts.
+    forward and backward; a batched ``b`` carries exactly ``a``'s batch axes.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -218,6 +210,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
     if b.data.ndim == 2:
         return linear(a, b)
+    if a.data.shape[:-2] != b.data.shape[:-2]:
+        raise ShapeError(f"matmul batch axes disagree: {a.data.shape} x {b.data.shape}")
 
     data = np.matmul(a.data, b.data)
 
@@ -250,25 +244,55 @@ def _weighted(x: np.ndarray, w: np.ndarray):
     return np.matmul(rows, w).reshape(w.shape[:-2] + x.shape[len(lead) : -1] + (k,)), grads
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w + b as one node, the weight applied as ``_weighted`` applies
-    it; ``b`` is None, (k,), or (branches, k) with a stacked weight."""
-    data, grads = _weighted(x.data, w.data)
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None):
+    """x @ w + b, the weight applied as ``_weighted`` applies it, and a
+    function from its gradient to (dx, dw, db); db is None without ``b``."""
+    data, grads = _weighted(x, w)
     if b is not None:
-        rows = data.reshape(b.data.shape[:-1] + (-1, data.shape[-1]))  # a view: data is contiguous
-        rows += b.data[..., None, :]
+        rows = data.reshape(b.shape[:-1] + (-1, data.shape[-1]))  # a view: data is contiguous
+        rows += b[..., None, :]
 
-    def backward(g):
+    def affine_grads(g):
         dx, dw = grads(g)
         if b is None:
-            return ((x, dx), (w, dw))
+            return dx, dw, None
         # the rows summed one axis at a time, as ``add`` sums them: one flat
         # sum over the rows rounds differently in float32
-        while g.ndim > b.data.ndim:
-            g = g.sum(axis=b.data.ndim - 1)
-        return ((x, dx), (w, dw), (b, g))
+        while g.ndim > b.ndim:
+            g = g.sum(axis=b.ndim - 1)
+        return dx, dw, g
+
+    return data, affine_grads
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w + b as one node; ``b`` is None, (k,), or (branches, k) with a
+    stacked weight."""
+    data, grads = _affine(x.data, w.data, None if b is None else b.data)
+
+    def backward(g):
+        dx, dw, db = grads(g)
+        return ((x, dx), (w, dw)) if b is None else ((x, dx), (w, dw), (b, db))
 
     return _make(data, (x, w) if b is None else (x, w, b), backward)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one node, the position-wise feed-forward
+    network (Vaswani et al. 2017, section 3.3), each product applied as
+    ``linear`` applies it. The relu runs in place, and only its output is
+    kept: relu's gradient mask, input > 0, is output > 0."""
+    h, grads1 = _affine(x.data, w1.data, b1.data)
+    np.maximum(h, 0, out=h)
+    data, grads2 = _affine(h, w2.data, b2.data)
+
+    def backward(g):
+        dh, dw2, db2 = grads2(g)
+        dh *= h > 0  # dh is a fresh array: nothing else holds it
+        dx, dw1, db1 = grads1(dh)
+        return ((x, dx), (w1, dw1), (b1, db1), (w2, dw2), (b2, db2))
+
+    return _make(data, (x, w1, b1, w2, b2), backward)
 
 
 def project_heads(x: Tensor, w: Tensor, n_heads: int, channels=None) -> Tensor:

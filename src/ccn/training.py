@@ -10,6 +10,8 @@ boundary reproduces the remaining loss log bit for bit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -121,6 +123,33 @@ class TrainState:
                 )
 
 
+# glibc's mallopt parameters, and the largest mmap threshold it accepts on
+# a 64-bit build (32 MiB)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Ask glibc, once per process, to keep the memory a training step frees.
+
+    By default glibc returns the tape's freed activations to the OS after
+    every backward pass, and the next forward pass faults them back in page
+    by page. Blocks up to 32 MiB then come from the heap, and the heap is
+    never trimmed. Both thresholds are set, because any mallopt call turns
+    off glibc's adaptive mmap threshold. Only ``train_step`` calls this, so
+    a process that only decodes keeps glibc's defaults and its smaller
+    footprint. Without glibc's ``mallopt`` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, -1)
+
+
 def train_step(
     model: Seq2SeqModel,
     batches: Batch | list[Batch],
@@ -134,6 +163,7 @@ def train_step(
     which is scaled to their mean in place; Adam is one pass over the
     arenas. ``state`` must come from ``TrainState.for_model(model)``.
     """
+    _keep_freed_heap()
     micro = [batches] if isinstance(batches, Batch) else list(batches)
     model.zero_grads()
     total_loss, total_tokens = 0.0, 0

@@ -2,8 +2,9 @@
 
 These deliberately re-derive results from definitions, sharing no code with
 the library paths they certify. The random-draw references draw one
-scalar ``Rng.integer`` at a time, the stream the vectorised draws must
-reproduce. Two helpers ride along: ``tape_ops`` counts the nodes of a tape,
+scalar ``Rng`` draw at a time, the stream the vectorised draws must
+reproduce; ``relu``, the tape op the fused ``ffn`` replaced, is its
+oracle. Two helpers ride along: ``tape_ops`` counts the nodes of a tape,
 and ``FailingArray`` makes a file write fail midway.
 """
 
@@ -13,7 +14,8 @@ from collections import Counter
 import numpy as np
 
 from ccn.attention import MultiHeadParams
-from ccn.tensor import Tensor
+from ccn.bpe import BOS_ID, EOS_ID, PAD_ID
+from ccn.tensor import Tensor, _make
 
 
 class FailingArray:
@@ -61,6 +63,31 @@ def permutation_reference(rng, n):
         j = rng.integer(i + 1)
         out[i], out[j] = out[j], out[i]
     return out
+
+
+def token_swap_reference(ids, p, rng):
+    """With probability p, swap one uniformly chosen pair of non-special
+    tokens: one scalar uniform, then two scalar integers when it swaps."""
+    ids = list(ids)
+    eligible = [i for i, t in enumerate(ids) if t not in (PAD_ID, BOS_ID, EOS_ID)]
+    if rng.uniform() >= p or len(eligible) < 2:
+        return ids
+    a = rng.integer(len(eligible))
+    b = rng.integer(len(eligible) - 1)
+    if b >= a:
+        b += 1
+    i, j = eligible[a], eligible[b]
+    ids[i], ids[j] = ids[j], ids[i]
+    return ids
+
+
+def relu(a: Tensor) -> Tensor:
+    data = np.maximum(a.data, 0)
+
+    def backward(g):
+        return ((a, g * (a.data > 0)),)
+
+    return _make(data, (a,), backward)
 
 
 def tape_ops(out: Tensor) -> int:

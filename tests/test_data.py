@@ -13,10 +13,11 @@ from ccn.data import (
     save_corpus,
     token_alphabet,
     token_swap_corrupt,
+    token_swap_rows,
 )
 from ccn.errors import DataError
 from ccn.rng import Rng
-from oracles import permutation_reference, synthetic_pairs_reference
+from oracles import permutation_reference, synthetic_pairs_reference, token_swap_reference
 
 
 def test_swap_short_sequence_unchanged():
@@ -238,3 +239,24 @@ def test_permutation_draws_the_scalar_fisher_yates_stream(n):
     got, ref = Rng(22).fork(n), Rng(22).fork(n)
     assert got.permutation(n).tolist() == permutation_reference(ref, n)
     assert got.uniform() == ref.uniform()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_token_swap_rows_draw_the_scalar_stream(p):
+    # rows with no, one and several eligible tokens, specials among them
+    rows = [[], [7], [1, 2], [1, 9, 2], [4, 5], [1, 4, 5, 6, 2, 0, 0]]
+    rows += [list(range(3, 3 + n)) + [EOS_ID] for n in range(2, 30)]
+    got, ref = Rng(23).fork(p), Rng(23).fork(p)
+    assert token_swap_rows(rows, p, got) == [token_swap_reference(r, p, ref) for r in rows]
+    assert got.uniform() == ref.uniform()
+
+
+def test_make_batches_corrupts_each_branch_with_the_scalar_stream():
+    corpus = gen_synthetic("copy", 12, 120, (2, 9), Rng(24))
+    bpe = learn_bpe(corpus.lines(), 16)
+    batches = make_batches(corpus, bpe, 64, Rng(25), swap_prob=0.5)
+    left, right = Rng(25).fork("corrupt-left"), Rng(25).fork("corrupt-right")
+    for b in batches:
+        for corrupt, rng in ((b.src_corrupt_left, left), (b.src_corrupt_right, right)):
+            want = [token_swap_reference([t for t in row if t != PAD_ID], 0.5, rng) for row in b.src]
+            assert [[t for t in row if t != PAD_ID] for row in corrupt] == want

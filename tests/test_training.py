@@ -1,5 +1,6 @@
 """Schedule, optimizer loop, run records, selection metrics, resume."""
 
+import ctypes
 import zipfile
 from dataclasses import replace
 
@@ -210,6 +211,33 @@ def test_a_tiny_thm_train_step_makes_one_adam_call(monkeypatch):
     batch = make_batches(corpus, bpe, 512, Rng(26))[0]
     train_step(model, batch, TrainState.for_model(model), TrainParams(), Rng(27))
     assert calls == [(model.param_count(),)]
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_warm_width_128_thm_train_step_faults_in_no_fresh_heap():
+    # glibc's default trims the heap after each backward pass, and the next
+    # forward pass faults it back in page by page (about 6000 faults here)
+    import resource
+
+    corpus = gen_synthetic("reverse", 60, 200, (6, 12), Rng(1))
+    bpe = learn_bpe(corpus.lines(), 64)
+    batch = max(make_batches(corpus, bpe, 512, Rng(2), swap_prob=0.5), key=lambda b: b.n_tokens)
+    cfg = ModelConfig(arch="thm", d_model=128, n_heads=4, n_blocks=1, d_ff=512,
+                      vocab_size=bpe.vocab_size, max_len=64, swap_prob=0.5)
+    model = build_model(cfg, Rng(3))
+    state, hp = TrainState.for_model(model), TrainParams(batch_tokens=512)
+    for i in range(2):
+        train_step(model, batch, state, hp, Rng(4).fork(i))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_step(model, batch, state, hp, Rng(4).fork(2))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def _trained_state(tmp_path):

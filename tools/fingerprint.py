@@ -13,7 +13,10 @@ apart from training; the losses of 4 train steps; the
 parameters, gradients and Adam moments after them; greedy and beam-3
 decodes; cached-step and full-recompute log-probabilities; and the bytes of
 the checkpoint it writes to OUT/ckpt. With --load DIR it also decodes with
-every checkpoint DIR/ckpt holds. Last, it runs 3 epochs of run_experiment
+every checkpoint DIR/ckpt holds. It prints the digest of dropout masks drawn
+by ``Rng.uniform_at_least`` at sizes around, at and over the 2**15 draws
+it mixes per block, and of the draws that follow them, which pin the
+counter. Last, it runs 3 epochs of run_experiment
 on acceptance 7's copy-task data and prints the digest of the loss.log,
 then runs 2 epochs into another directory, resumes that run to 3, and
 prints the digest of its loss.log, which matches the first when resume is
@@ -106,6 +109,15 @@ def model_digests(out: Path, others: Path | None):
                 print("load", path.stem, step, key, value)
 
 
+def mask_digests():
+    block = 1 << 15
+    for shape in [(7,), (block - 1,), (block,), (block + 1,), (3, 2, block // 2 + 7), (2, 2048, 256)]:
+        for p in (0.1, 0.5):
+            rng = Rng(6).fork(shape)
+            masks = [rng.uniform_at_least(shape, p) for _ in range(2)]
+            print("mask", shape, p, digest(*masks), "then", digest(rng.uniform((3,))))
+
+
 def run_digest(out: Path):
     """3 epochs of run_experiment on acceptance 7's data (tiny THM, seed 1),
     straight through and resumed after 2."""
@@ -134,6 +146,7 @@ def main():
     args = ap.parse_args()
     (args.out / "ckpt").mkdir(parents=True, exist_ok=True)
     model_digests(args.out, args.load)
+    mask_digests()
     run_digest(args.out)
 
 
