@@ -5,11 +5,24 @@ end-of-word marker ``</w>`` so segmentations are reversible. Merges are
 learned most-frequent-pair first with lexicographic tie-breaking and applied
 at encode time in learned order, so encoding reproduces the training-time
 segmentation exactly. The four special tokens always take ids 0..3.
+
+Learning is incremental (Sennrich et al. 2016). Each distinct word is split
+into symbols once, and a table of pair counts, weighted by word frequency,
+is kept between merges, with an index from each pair to the words that
+hold it. A heap of ``(-count, pair)`` entries yields the most frequent pair,
+ties to the lexicographically smallest; an entry whose count has moved
+since it was pushed is dropped when popped. A merge rewrites only the
+indexed words, left to right, and moves the pair counts by each such word's
+old pairs out and its new pairs in, which is exact for overlapping pairs
+such as ``a a`` in ``aaaa``. A merge then costs time in the words indexed
+under its pair, not in the corpus, and the merges equal those of a full
+recount of every pair after every merge.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .errors import DataError, atomic_write, read_text
@@ -71,45 +84,57 @@ class BpeModel:
 
 
 def learn_bpe(lines, target_vocab_size: int) -> BpeModel:
-    """Learn merges by greedy most-frequent-pair counting over word frequencies."""
-    word_freq: Counter[tuple[str, ...]] = Counter()
-    for line in lines:
-        for word in line.split():
-            word_freq[_word_symbols(word)] += 1
-    if not word_freq:
+    """Learn merges by greedy most-frequent-pair counting over word frequencies,
+    updating the pair counts of only the words each merge changes."""
+    counts = Counter(word for line in lines for word in line.split())
+    if not counts:
         raise DataError("cannot learn BPE from an empty corpus")
+    words = [_word_symbols(word) for word in counts]
+    freqs = list(counts.values())
 
-    base = sorted({sym for word in word_freq for sym in word})
+    base = sorted({sym for word in words for sym in word})
     floor = len(SPECIALS) + len(base)
     if target_vocab_size < floor:
         raise DataError(
             f"target vocab {target_vocab_size} below base character vocabulary {floor}"
         )
 
-    words = {w: f for w, f in word_freq.items()}
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    holders = defaultdict(set)  # pair -> ids of the words that hold it, or once did
+    for i, (word, freq) in enumerate(zip(words, freqs)):
+        for pair in zip(word, word[1:]):
+            pair_counts[pair] += freq
+            holders[pair].add(i)
+    heap = [(-c, pair) for pair, c in pair_counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    while floor + len(merges) < target_vocab_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for word, freq in words.items():
-            for i in range(len(word) - 1):
-                pair_counts[(word[i], word[i + 1])] += freq
-        if not pair_counts:
-            break
-        best_count = max(pair_counts.values())
-        pair = min(p for p, c in pair_counts.items() if c == best_count)
+    while heap and floor + len(merges) < target_vocab_size:
+        neg, pair = heapq.heappop(heap)
+        if pair_counts[pair] != -neg:  # stale: the count moved since the push
+            continue
         merges.append(pair)
-        merged = pair[0] + pair[1]
-        new_words = {}
-        for word, freq in words.items():
-            symbols = list(word)
-            i = 0
-            while i < len(symbols) - 1:
-                if symbols[i] == pair[0] and symbols[i + 1] == pair[1]:
-                    symbols[i : i + 2] = [merged]
+        a, b = pair
+        delta: Counter[tuple[str, str]] = Counter()
+        for i in holders.pop(pair):
+            word, freq, new = words[i], freqs[i], []
+            for sym in word:  # a merged a + b never equals a
+                if sym == b and new and new[-1] == a:
+                    new[-1] = a + b
                 else:
-                    i += 1
-            new_words[tuple(symbols)] = new_words.get(tuple(symbols), 0) + freq
-        words = new_words
+                    new.append(sym)
+            if len(new) == len(word):
+                continue
+            for old in zip(word, word[1:]):
+                delta[old] -= freq
+            for fresh in zip(new, new[1:]):
+                delta[fresh] += freq
+                holders[fresh].add(i)
+            words[i] = new
+        for p, d in delta.items():
+            if d:
+                pair_counts[p] += d
+                if pair_counts[p]:
+                    heapq.heappush(heap, (-pair_counts[p], p))
     return BpeModel(base_vocab=base, merges=merges)
 
 
@@ -147,17 +172,39 @@ def save_bpe(model: BpeModel, path):
 
 
 def load_bpe(path) -> BpeModel:
+    """Read a ``save_bpe`` file, checking every line; a bad line is a
+    ``DataError`` naming the file and the line."""
     lines = read_text(path).splitlines()
     if MERGE_SENTINEL not in lines:
         raise DataError(f"{path}: missing {MERGE_SENTINEL!r} sentinel")
     split = lines.index(MERGE_SENTINEL)
-    base = lines[:split]
-    if tuple(base[:4]) != SPECIALS:
+    if tuple(lines[:4]) != SPECIALS:
         raise DataError(f"{path}: special tokens must head the vocabulary")
+    first_line: dict[str, int] = {}  # token -> the line that made it
     merges = []
-    for line in lines[split + 1 :]:
-        if not line:
+    for lineno, line in enumerate(lines, 1):
+        if lineno <= split:
+            if not line:
+                raise DataError(f"{path}:{lineno}: empty base symbol")
+            token = line
+        elif lineno == split + 1 or not line:
             continue
-        a, _, b = line.partition(" ")
-        merges.append((a, b))
-    return BpeModel(base_vocab=base[4:], merges=merges)
+        else:
+            pair = tuple(line.split(" "))
+            if len(pair) != 2 or not all(pair):
+                raise DataError(
+                    f"{path}:{lineno}: a merge is two non-empty symbols and one space, got {line!r}"
+                )
+            for part in pair:
+                if part not in first_line or part in SPECIALS:
+                    raise DataError(
+                        f"{path}:{lineno}: merge part {part!r} is neither a base symbol nor an earlier merge"
+                    )
+            merges.append(pair)
+            token = pair[0] + pair[1]
+        if token in first_line:
+            raise DataError(
+                f"{path}:{lineno}: duplicate token {token!r}, first on line {first_line[token]}"
+            )
+        first_line[token] = lineno
+    return BpeModel(base_vocab=lines[4:split], merges=merges)

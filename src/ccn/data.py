@@ -200,6 +200,9 @@ def make_batches(
 
 _TASKS = ("copy", "reverse", "sort")
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# uniforms ``gen_synthetic`` reads ahead at a time, or one sentence's
+# most if that is more: a larger read-ahead was no faster and held more memory
+_SYNTH_DRAWS = 1 << 10
 
 
 def token_alphabet(vocab_size: int) -> list[str]:
@@ -213,7 +216,13 @@ def token_alphabet(vocab_size: int) -> list[str]:
 def gen_synthetic(
     task: str, vocab_size: int, n_pairs: int, len_range: tuple[int, int], rng: Rng
 ) -> ParallelCorpus:
-    """Random token strings paired with a task-defined transform of themselves."""
+    """Random token strings paired with a task-defined transform of themselves.
+
+    A sentence takes one uniform for its length, scaled as ``Rng.integer``
+    scales it, then one per token. The draws of a chunk of sentences are
+    read ahead without advancing, walked, and the ones used are skipped, so
+    the stream and the counter are the scalar draws'.
+    """
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}; choose from {_TASKS}")
     if vocab_size < 5:
@@ -222,15 +231,21 @@ def gen_synthetic(
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length range {len_range}")
     tokens = token_alphabet(vocab_size)
+    chunk = max(1, _SYNTH_DRAWS // (1 + hi))  # sentences per read-ahead
     pairs = []
-    for _ in range(n_pairs):
-        n = lo + rng.integer(hi - lo + 1)
-        words = [tokens[i] for i in rng.integers(len(tokens), (n,)).tolist()]
-        if task == "copy":
-            out = words
-        elif task == "reverse":
-            out = words[::-1]
-        else:
-            out = sorted(words)
-        pairs.append((" ".join(words), " ".join(out)))
+    while len(pairs) < n_pairs:
+        m = min(chunk, n_pairs - len(pairs))
+        draws, used = rng.peek(m * (1 + hi)).tolist(), 0
+        for _ in range(m):
+            n = lo + int(draws[used] * (hi - lo + 1))
+            words = [tokens[int(u * len(tokens))] for u in draws[used + 1 : used + 1 + n]]
+            used += 1 + n
+            if task == "copy":
+                out = words
+            elif task == "reverse":
+                out = words[::-1]
+            else:
+                out = sorted(words)
+            pairs.append((" ".join(words), " ".join(out)))
+        rng.skip(used)
     return ParallelCorpus(pairs)

@@ -5,6 +5,7 @@ import pytest
 
 from ccn.bpe import (
     END_OF_WORD,
+    SPECIALS,
     UNK_ID,
     BpeModel,
     apply_bpe,
@@ -13,7 +14,9 @@ from ccn.bpe import (
     load_bpe,
     save_bpe,
 )
+from ccn.data import gen_synthetic
 from ccn.errors import DataError
+from ccn.rng import Rng
 
 
 def oracle_merges(words_with_freq: dict[tuple[str, ...], int], n_merges: int):
@@ -53,6 +56,18 @@ def _symbols(word):
     return tuple(chars)
 
 
+def _word_freqs(lines):
+    words = {}
+    for line in lines:
+        for w in line.split():
+            words[_symbols(w)] = words.get(_symbols(w), 0) + 1
+    return words
+
+
+def _floor(words):
+    return len(SPECIALS) + len({sym for word in words for sym in word})
+
+
 def test_first_merge_on_single_repeated_word():
     model = learn_bpe(["ab ab ab"], target_vocab_size=7)
     assert model.merges[0] == ("a", "b" + END_OF_WORD)
@@ -65,10 +80,7 @@ def test_target_equal_to_base_means_zero_merges():
 
 def test_merge_order_matches_exhaustive_oracle():
     corpus = ["abab abab abab", "abc cab", "aabb ccaa abab"]
-    words = {}
-    for line in corpus:
-        for w in line.split():
-            words[_symbols(w)] = words.get(_symbols(w), 0) + 1
+    words = _word_freqs(corpus)
     model = learn_bpe(corpus, target_vocab_size=100)
     assert model.merges == oracle_merges(words, len(model.merges))
     assert len(model.merges) > 3
@@ -162,3 +174,55 @@ def test_specials_hold_the_four_lowest_ids():
 def test_duplicate_tokens_rejected():
     with pytest.raises(DataError):
         BpeModel(base_vocab=["a", "a"], merges=[])
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["aaaa aaa aa a"],  # overlapping repeats of one pair
+        ["aaaa aaaa aaaaa"],
+        ["abab ababab abab", "baba"],
+        ["abcabc"] * 3,  # a single word type
+        ["ab cd ef", "gh"],  # every pair tied
+    ],
+)
+def test_merges_equal_the_oracle_up_to_the_last_possible_merge(lines):
+    words = _word_freqs(lines)
+    target = _floor(words) + 100  # past the last possible merge
+    model = learn_bpe(lines, target)
+    assert model.merges == oracle_merges(words, 100)
+    assert len(model.merges) < 100
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merges_equal_the_oracle_on_random_corpora(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    stopped_early = 0
+    for _ in range(60):
+        letters = list(rng.choice(["a", "ab", "abc", "abcdefg"]))
+        lines = [
+            " ".join(
+                "".join(rng.choice(letters, size=rng.integers(1, 9)))
+                for _ in range(rng.integers(1, 7))
+            )
+            for _ in range(rng.integers(1, 8))
+        ]
+        if rng.random() < 0.2:  # a single word type, repeated
+            lines = [lines[0].split()[0]] * int(rng.integers(1, 4))
+        words = _word_freqs(lines)
+        n_merges = int(rng.integers(0, 40))
+        model = learn_bpe(lines, _floor(words) + n_merges)
+        assert model.merges == oracle_merges(words, n_merges)
+        stopped_early += len(model.merges) < n_merges
+        save_bpe(model, tmp_path / "bpe.vocab")  # every check of load_bpe passes
+        assert load_bpe(tmp_path / "bpe.vocab").id_to_token == model.id_to_token
+    assert stopped_early > 0
+
+
+def test_merges_equal_the_oracle_on_the_width_256_benchmark_corpus():
+    # perfbench's train-w256 corpus at seed 1: 700 word types, vocab 730
+    lines = list(gen_synthetic("reverse", 700, 195, (8, 16), Rng(1).fork("train")).lines())
+    words = _word_freqs(lines)
+    model = learn_bpe(lines, 730)
+    assert model.merges == oracle_merges(words, 730 - _floor(words))
+    assert len(model.merges) == 652

@@ -314,6 +314,56 @@ def _tiny_data(capsys, tmp_path):
     return data, tmp_path / "bpe.vocab"
 
 
+_BASE = ["a", "b", "a</w>", "b</w>"]  # lines 5-8; "#merges" is line 9
+
+
+def _apply_bpe_with(capsys, tmp_path, base, merges):
+    """Run apply-bpe with a hand-written vocabulary file."""
+    vocab, src = tmp_path / "bpe.vocab", tmp_path / "in.txt"
+    vocab.write_text("\n".join(["<pad>", "<bos>", "<eos>", "<unk>", *base, "#merges", *merges]) + "\n")
+    src.write_text("ab ba\n")
+    code, out, err = run_cli(capsys, "apply-bpe", "--bpe", str(vocab), "--src", str(src))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    return f"{vocab}:", err
+
+
+@pytest.mark.parametrize("line", ["ab", "a b c", "a  b", "a ", " b</w>", "a\tb</w>"])
+def test_apply_bpe_merge_line_not_two_symbols_exits_two_naming_the_line(capsys, tmp_path, line):
+    name, err = _apply_bpe_with(capsys, tmp_path, _BASE, ["a b</w>", line])
+    assert f"{name}11: a merge is two non-empty symbols and one space, got {line!r}" in err
+
+
+@pytest.mark.parametrize(
+    "merges, part",
+    [(["x y"], "x"), (["a ab</w>", "a b</w>"], "ab</w>"), (["<unk> a"], "<unk>")],
+    ids=["unknown", "later-merge", "special"],
+)
+def test_apply_bpe_merge_of_unknown_parts_exits_two_naming_the_line(capsys, tmp_path, merges, part):
+    name, err = _apply_bpe_with(capsys, tmp_path, _BASE, merges)
+    assert f"{name}10: merge part {part!r} is neither a base symbol nor an earlier merge" in err
+
+
+def test_apply_bpe_empty_base_symbol_exits_two_naming_the_line(capsys, tmp_path):
+    name, err = _apply_bpe_with(capsys, tmp_path, ["a", "", "b"], [])
+    assert f"{name}6: empty base symbol" in err
+
+
+@pytest.mark.parametrize(
+    "base, merges, where",
+    [
+        (_BASE, ["a b</w>", "a b</w>"], "11: duplicate token 'ab</w>', first on line 10"),
+        (_BASE + ["b"], [], "9: duplicate token 'b', first on line 6"),
+        (_BASE + ["ab"], ["a b"], "11: duplicate token 'ab', first on line 9"),
+    ],
+    ids=["two-merges", "two-base-symbols", "merge-and-base-symbol"],
+)
+def test_apply_bpe_duplicate_token_exits_two_naming_it(capsys, tmp_path, base, merges, where):
+    name, err = _apply_bpe_with(capsys, tmp_path, base, merges)
+    assert f"{name}{where}" in err
+
+
 def test_non_utf8_input_exits_two_naming_the_file(capsys, tmp_path):
     bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
     bad.write_bytes(b"a b\n\xff c\n")

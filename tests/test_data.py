@@ -5,6 +5,7 @@ import pytest
 
 from ccn.bpe import BOS_ID, EOS_ID, PAD_ID, learn_bpe
 from ccn.data import (
+    _SYNTH_DRAWS,
     ParallelCorpus,
     gen_synthetic,
     length_filter,
@@ -228,10 +229,13 @@ def test_corpus_save_load_round_trip(tmp_path):
 @pytest.mark.parametrize("task", ["copy", "reverse", "sort"])
 @pytest.mark.parametrize("vocab_size, len_range", [(8, (1, 6)), (300, (3, 12))])
 def test_gen_synthetic_draws_the_scalar_stream(task, vocab_size, len_range):
-    got, ref = Rng(21).fork(task), Rng(21).fork(task)
-    corpus = gen_synthetic(task, vocab_size, 40, len_range, got)
-    assert corpus.pairs == synthetic_pairs_reference(task, token_alphabet(vocab_size), 40, len_range, ref)
-    assert got.uniform() == ref.uniform()
+    # sentences per read-ahead chunk; corpora end just before, at and after one
+    chunk = _SYNTH_DRAWS // (1 + len_range[1])
+    for n_pairs in (40, 2000, chunk - 1, chunk, chunk + 1):
+        got, ref = Rng(21).fork(task), Rng(21).fork(task)
+        corpus = gen_synthetic(task, vocab_size, n_pairs, len_range, got)
+        assert corpus.pairs == synthetic_pairs_reference(task, token_alphabet(vocab_size), n_pairs, len_range, ref)
+        assert got.uniform() == ref.uniform()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 17, 2000])

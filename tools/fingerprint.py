@@ -16,7 +16,10 @@ the checkpoint it writes to OUT/ckpt. With --load DIR it also decodes with
 every checkpoint DIR/ckpt holds. It prints the digest of dropout masks drawn
 by ``Rng.uniform_at_least`` at sizes around, at and over the 2**15 draws
 it mixes per block, and of the draws that follow them, which pin the
-counter. Last, it runs 3 epochs of run_experiment
+counter. It prints the digest of the merges and tokens ``learn_bpe`` learns
+from the benchmark's 700-type reverse corpus (about 650 merges) and from a
+corpus of overlapping repeats such as ``aaaa`` and ``abab``, and of the
+reverse corpus itself. Last, it runs 3 epochs of run_experiment
 on acceptance 7's copy-task data and prints the digest of the loss.log,
 then runs 2 epochs into another directory, resumes that run to 3, and
 prints the digest of its loss.log, which matches the first when resume is
@@ -118,6 +121,23 @@ def mask_digests():
             print("mask", shape, p, digest(*masks), "then", digest(rng.uniform((3,))))
 
 
+def text_digest(lines) -> str:
+    return digest(np.frombuffer("\n".join(lines).encode(), dtype=np.uint8))
+
+
+def bpe_digests():
+    # perfbench's train-w256 corpus at seed 1, and words drawn from "aab"
+    reverse = list(gen_synthetic("reverse", 700, 195, (8, 16), Rng(1).fork("train")).lines())
+    rng = Rng(7)
+    repeats = [" ".join("".join("aab"[i] for i in rng.integers(3, (1 + rng.integer(12),)).tolist())
+                        for _ in range(5)) for _ in range(80)]
+    print("synth reverse-700", text_digest(reverse))
+    for name, lines, vocab_size in (("reverse-700", reverse, 730), ("repeats", repeats, 1000)):
+        bpe = learn_bpe(lines, vocab_size)
+        merges = [f"{a} {b}" for a, b in bpe.merges]
+        print("bpe", name, len(bpe.merges), "merges", text_digest(merges), "tokens", text_digest(bpe.id_to_token))
+
+
 def run_digest(out: Path):
     """3 epochs of run_experiment on acceptance 7's data (tiny THM, seed 1),
     straight through and resumed after 2."""
@@ -147,6 +167,7 @@ def main():
     (args.out / "ckpt").mkdir(parents=True, exist_ok=True)
     model_digests(args.out, args.load)
     mask_digests()
+    bpe_digests()
     run_digest(args.out)
 
 
