@@ -1,13 +1,12 @@
-"""Attention blocks: generic non-local form, scaled dot-product, multi-head,
-and the two-channel gate-routed co-attention.
+"""Attention blocks: scaled dot-product, multi-head, and the two-channel
+gate-routed co-attention. The generic non-local form they are tested
+against, a slow double loop, is ``nonlocal_op`` in the tests' oracles.
 
-``nonlocal_op`` is a deliberately slow double loop kept as the independent
-oracle for the vectorized path; do not "optimize" it. The co-attention pair
-routes each of the V/K/Q gates of two branches to either the left or right
-input channel; the crossed routing keeps V and K at home and borrows the
-query from the opposite channel. With the branches stacked on one axis, a
-routing is a channel index per gate, read inside the projection
-(``routed_attention``).
+The co-attention pair routes each of the V/K/Q gates of two branches to
+either the left or right input channel; the crossed routing keeps V and K
+at home and borrows the query from the opposite channel. With the branches
+stacked on one axis, a routing is a channel index per gate, read inside
+the projection (``routed_attention``).
 
 A mask is an additive bias array (Vaswani et al. 2017, section 3.2.3):
 ``causal_mask`` and ``padding_mask`` build and check it once per forward
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MaskError, ShapeError
+from .errors import MaskError, ShapeError
 from .tensor import (
     Tensor,
     add_const,
@@ -116,34 +115,6 @@ class MultiHeadParams:
                 raise ShapeError(f"{gate} width {w.data.shape[-1]} does not split into {self.n_heads} heads")
         if self.w_o.data.shape[-2] != self.w_v.data.shape[-1]:
             raise ShapeError(f"w_v width {self.w_v.data.shape[-1]} does not match w_o {self.w_o.data.shape}")
-
-
-# ---------------------------------------------------------------------------
-# generic non-local operation (oracle; plain numpy, forward only)
-# ---------------------------------------------------------------------------
-
-
-def nonlocal_op(q, k, v, pairwise, unary, normalizer) -> np.ndarray:
-    """y_i = (1 / normalizer(q_i, K)) * sum_j pairwise(q_i, k_j) * unary(v_j).
-
-    Direct double loop over query and key positions; the reference
-    implementation the fast attention path is tested against.
-    """
-    q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"K and V disagree on length: {k.shape} vs {v.shape}")
-    n_q = q.shape[0]
-    rows = []
-    for i in range(n_q):
-        c = float(normalizer(q[i], k))
-        if c == 0.0:
-            raise DataError(f"non-local normalizer is zero for query row {i}")
-        acc = None
-        for j in range(k.shape[0]):
-            term = float(pairwise(q[i], k[j])) * np.asarray(unary(v[j]), dtype=np.float64)
-            acc = term if acc is None else acc + term
-        rows.append(acc / c)
-    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ the model makes the only copy of each parameter.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -27,18 +28,8 @@ from .model import ModelConfig, ParamStore, Seq2SeqModel
 MAGIC = b"THM1"
 FORMAT_VERSION = 1
 
-_CONFIG_FIELDS = (
-    ("arch", str),
-    ("d_model", int),
-    ("n_heads", int),
-    ("n_blocks", int),
-    ("d_ff", int),
-    ("vocab_size", int),
-    ("dropout_p", float),
-    ("swap_prob", float),
-    ("max_len", int),
-    ("label_smoothing", float),
-)
+# each config field's name and its converter from text, in declaration order
+_CONFIG_FIELDS = tuple((f.name, type(f.default)) for f in dataclasses.fields(ModelConfig))
 
 
 def save_checkpoint(path, config: ModelConfig, step: int, params: dict[str, np.ndarray]):
@@ -149,10 +140,11 @@ def save_model(path, model: Seq2SeqModel, step: int = 0):
     save_checkpoint(path, model.config, step, {n: p.data for n, p in model.params.items()})
 
 
-def model_from_checkpoint(path, dtype=np.float32) -> tuple[Seq2SeqModel, int]:
-    """Rebuild a model from the stored parameters, which must match its names and shapes."""
+def model_from_checkpoint(path) -> tuple[Seq2SeqModel, int]:
+    """Rebuild a float32 model from the stored parameters, which must match
+    its names and shapes."""
     config, step, params = load_checkpoint(path)
     try:
-        return Seq2SeqModel(config, ParamStore(dtype, stored=params)), step
+        return Seq2SeqModel(config, ParamStore(np.float32, stored=params)), step
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -1,6 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 data/shape error, 3 divergence.
+``errors.EXIT_CODES`` maps each failure to its code; any other exception
+exits 2 with its type named. The CLI prints no traceback.
 Stochastic commands require --seed. A --config file supplies key=value
 defaults whose keys mirror the flag names (without the leading dashes);
 explicit flags win over the file.
@@ -18,14 +20,14 @@ import numpy as np
 from .bpe import learn_bpe, apply_bpe, load_bpe, save_bpe
 from .checkpoint import model_from_checkpoint
 from .data import gen_synthetic, length_filter, load_corpus, make_batches, save_corpus
-from .errors import CcnError, DivergenceError, atomic_write, read_text
+from .errors import EXIT_CODES, atomic_write, read_text
 from .evaluation import corpus_bleu, translate_corpus
 from .gradcheck import finite_diff_check
 from .model import PRESETS, build_model, count_parameters, preset
 from .rng import Rng
 from .training import DataBundle, RunRecord, TrainParams, run_experiment, select_best, topk_selection
 
-EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_DIVERGED = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,18 +377,11 @@ def main(argv=None) -> int:
             if kwargs.get("required") and getattr(args, flag.lstrip("-").replace("-", "_")) is None:
                 raise ValueError(f"{flag} is required")
         return _HANDLERS[args.command](args)
-    except DivergenceError as exc:
-        print(f"ccn {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except CcnError as exc:
-        print(f"ccn {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"ccn {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # the message names exc.filename
-        print(f"ccn {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except Exception as exc:
+        code = next((c for kind, c in EXIT_CODES if isinstance(exc, kind)), None)
+        what = str(exc) if code else f"{type(exc).__name__}: {exc}"
+        print(f"ccn {args.command}: {what}", file=sys.stderr)
+        return code or EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -116,10 +116,6 @@ class Batch:
     tgt_out: np.ndarray
 
     @property
-    def tgt_pad(self) -> np.ndarray:
-        return self.tgt_out == PAD_ID
-
-    @property
     def n_tokens(self) -> int:
         return int((self.src != PAD_ID).sum() + (self.tgt_out != PAD_ID).sum())
 

@@ -2,8 +2,10 @@
 that reports undecodable input as a DataError, and ``atomic_write``, the
 writer every file the library writes whole goes through.
 
-The CLI maps these onto process exit codes: usage errors (plain ValueError)
-exit 1, CcnError subclasses below exit 2, DivergenceError exits 3.
+``EXIT_CODES`` maps exceptions onto the CLI's process exit codes: the
+first row whose class matches wins. Usage errors (plain ValueError, a
+missing input file) exit 1, CcnError subclasses and other OSErrors exit 2,
+DivergenceError exits 3.
 """
 
 import os
@@ -41,6 +43,9 @@ class DivergenceError(CcnError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
+
+
+EXIT_CODES = ((DivergenceError, 3), (CcnError, 2), (FileNotFoundError, 1), (ValueError, 1), (OSError, 2))
 
 
 def read_text(path) -> str:

@@ -109,19 +109,6 @@ def translate_corpus(model, bpe: BpeModel, sentences: list[str], max_len: int, b
     return [ids_to_text(bpe, hyp) for hyp in hyps]
 
 
-def token_accuracy(model, batches) -> float:
-    """Teacher-forced next-token accuracy over non-pad positions."""
-    correct, total = 0, 0
-    with no_grad():
-        for b in batches:
-            logits = model.forward_logits(b)
-            pred = np.argmax(logits.data, axis=-1)
-            keep = ~b.tgt_pad
-            correct += int((pred[keep] == b.tgt_out[keep]).sum())
-            total += int(keep.sum())
-    return correct / total if total else 0.0
-
-
 # ---------------------------------------------------------------------------
 # corpus BLEU
 # ---------------------------------------------------------------------------

@@ -49,36 +49,25 @@ class TrainParams:
 
 @dataclass
 class TrainState:
-    """Step counters and the Adam moments, per parameter name.
+    """Step counters and the Adam moments, each moment one flat buffer in
+    the model's arena layout (``m_arena``, ``v_arena``) with ``m`` and ``v``
+    its per-name views. ``for_model`` and ``load`` make the only two kinds:
+    zero moments, or the moments of a state file read straight into the
+    views."""
 
-    A state made by ``for_model`` also holds each moment as one flat buffer
-    in the model's arena layout (``m_arena``, ``v_arena``), and ``m`` and
-    ``v`` are views of them; ``train_step`` needs those buffers. A state
-    read by ``load`` holds plain per-name arrays until ``for_model`` takes
-    it in.
-    """
-
+    m_arena: np.ndarray
+    v_arena: np.ndarray
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step: int = 0
     epoch: int = 0
     best_dev_bleu: float = -1.0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    m_arena: np.ndarray | None = None
-    v_arena: np.ndarray | None = None
 
     @classmethod
-    def for_model(cls, model: Seq2SeqModel, loaded: "TrainState | None" = None) -> "TrainState":
-        """Zero moments in ``model``'s arena layout; given ``loaded`` (which
-        must pass ``check_matches``), its counters and moments copied in."""
+    def for_model(cls, model: Seq2SeqModel) -> "TrainState":
+        """Zero moments in ``model``'s arena layout."""
         m, v = np.zeros_like(model.param_arena), np.zeros_like(model.param_arena)
-        state = cls(m=model.arena_views(m), v=model.arena_views(v), m_arena=m, v_arena=v)
-        if loaded is not None:
-            state.step, state.epoch = loaded.step, loaded.epoch
-            state.best_dev_bleu = loaded.best_dev_bleu
-            for mine, theirs in ((state.m, loaded.m), (state.v, loaded.v)):
-                for name, a in mine.items():
-                    a[...] = theirs[name]
-        return state
+        return cls(m=model.arena_views(m), v=model.arena_views(v), m_arena=m, v_arena=v)
 
     def save(self, path):
         arrays = {f"m/{n}": a for n, a in self.m.items()}
@@ -88,39 +77,43 @@ class TrainState:
             np.savez(fh, **arrays)
 
     @classmethod
-    def load(cls, path) -> "TrainState":
-        """Read a state file; a truncated or malformed one raises DataError naming it."""
+    def load(cls, path, model: Seq2SeqModel) -> "TrainState":
+        """Read a state file into a ``for_model(model)`` state, copying each
+        stored moment into its arena view as it is read, so only one stored
+        array is held at a time. A truncated or malformed file, or one whose
+        moments do not hold exactly the names and shapes of ``model.params``,
+        raises DataError naming it and the first name (``m`` before ``v``)
+        that differs."""
+        state = cls.for_model(model)
         try:
             with np.load(path) as zf:
                 meta = zf["meta"].astype(np.float64)
-                m = {k[2:]: zf[k] for k in zf.files if k.startswith("m/")}
-                v = {k[2:]: zf[k] for k in zf.files if k.startswith("v/")}
+                finite = meta.shape == (3,) and np.isfinite(meta).all()
+                if not (finite and meta[0] >= 0 and meta[1] >= 0 and meta[0] % 1 == meta[1] % 1 == 0):
+                    raise DataError(
+                        f"{path}: malformed training state: meta {meta.ravel()[:4].tolist()} of shape "
+                        f"{meta.shape} is not a whole non-negative step and epoch and a finite best dev BLEU"
+                    )
+                for kind, views in (("m", state.m), ("v", state.v)):
+                    stored = {k[2:] for k in zf.files if k.startswith(f"{kind}/")}
+                    for name in sorted(stored | views.keys()):
+                        a = zf[f"{kind}/{name}"] if name in stored else None
+                        got = None if a is None else a.shape
+                        want = views[name].shape if name in views else None
+                        if got != want:
+                            state_has, model_has = (
+                                "no such array" if s is None else f"shape {s}" for s in (got, want)
+                            )
+                            raise DataError(
+                                f"{path}: training state does not match the model: "
+                                f"{kind}/{name} has {state_has} in the state, {model_has} in the model"
+                            )
+                        views[name][...] = a
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError, RuntimeError) as exc:
             # some corrupt zip headers raise OSError or NotImplementedError (a RuntimeError)
             raise DataError(f"{path}: not a readable training state: {exc}") from None
-        finite = meta.shape == (3,) and np.isfinite(meta).all()
-        if not (finite and meta[0] >= 0 and meta[1] >= 0 and meta[0] % 1 == meta[1] % 1 == 0):
-            raise DataError(
-                f"{path}: malformed training state: meta {meta.ravel()[:4].tolist()} of shape "
-                f"{meta.shape} is not a whole non-negative step and epoch and a finite best dev BLEU"
-            )
-        return cls(step=int(meta[0]), epoch=int(meta[1]), best_dev_bleu=float(meta[2]), m=m, v=v)
-
-    def check_matches(self, model: Seq2SeqModel, path) -> None:
-        """Raise DataError naming ``path`` unless both moments hold exactly
-        the names and shapes of ``model.params``."""
-        want = {n: p.data.shape for n, p in model.params.items()}
-        for kind, moments in (("m", self.m), ("v", self.v)):
-            got = {n: a.shape for n, a in moments.items()}
-            if got != want:
-                name = min(n for n in want.keys() | got.keys() if got.get(n) != want.get(n))
-                state_has, model_has = (
-                    "no such array" if d.get(name) is None else f"shape {d[name]}" for d in (got, want)
-                )
-                raise DataError(
-                    f"{path}: training state does not match the model: "
-                    f"{kind}/{name} has {state_has} in the state, {model_has} in the model"
-                )
+        state.step, state.epoch, state.best_dev_bleu = int(meta[0]), int(meta[1]), float(meta[2])
+        return state
 
 
 # glibc's mallopt parameters, and the largest mmap threshold it accepts on
@@ -161,7 +154,8 @@ def train_step(
 
     The gradients of micro-batches add up in the model's gradient arena,
     which is scaled to their mean in place; Adam is one pass over the
-    arenas. ``state`` must come from ``TrainState.for_model(model)``.
+    arenas. ``state`` must come from ``TrainState.for_model(model)`` or
+    ``TrainState.load(path, model)``.
     """
     _keep_freed_heap()
     micro = [batches] if isinstance(batches, Batch) else list(batches)
@@ -321,10 +315,7 @@ def run_experiment(
         start_epoch = max((e for e in saved if _state_path(out_dir, e).exists()), default=0)
     if start_epoch:
         model, _ = model_from_checkpoint(_ckpt_path(out_dir, start_epoch))
-        state_path = _state_path(out_dir, start_epoch)
-        loaded = TrainState.load(state_path)
-        loaded.check_matches(model, state_path)
-        state = TrainState.for_model(model, loaded)
+        state = TrainState.load(_state_path(out_dir, start_epoch), model)
         records.rows = records.rows[:start_epoch]
         with atomic_write(log_path, text=True) as fh:
             fh.write(records.to_log())

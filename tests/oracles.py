@@ -4,7 +4,10 @@ These deliberately re-derive results from definitions, sharing no code with
 the library paths they certify. The random-draw references draw one
 scalar ``Rng`` draw at a time, the stream the vectorised draws must
 reproduce; ``relu``, the tape op the fused ``ffn`` replaced, is its
-oracle. Two helpers ride along: ``tape_ops`` counts the nodes of a tape,
+oracle. ``nonlocal_op`` is the generic non-local form (a double loop over
+query and key positions) that attention is checked against, and
+``token_accuracy`` scores teacher-forced predictions for acceptance 7.
+Two helpers ride along: ``tape_ops`` counts the nodes of a tape,
 and ``FailingArray`` makes a file write fail midway.
 """
 
@@ -15,7 +18,8 @@ import numpy as np
 
 from ccn.attention import MultiHeadParams
 from ccn.bpe import BOS_ID, EOS_ID, PAD_ID
-from ccn.tensor import Tensor, _make
+from ccn.errors import DataError, ShapeError
+from ccn.tensor import Tensor, _make, no_grad
 
 
 class FailingArray:
@@ -29,6 +33,42 @@ class FailingArray:
     def __array__(self, *args, **kwargs):
         self.seen = sorted(p.name for p in self.directory.iterdir())
         raise OSError("No space left on device")
+
+
+def nonlocal_op(q, k, v, pairwise, unary, normalizer) -> np.ndarray:
+    """y_i = (1 / normalizer(q_i, K)) * sum_j pairwise(q_i, k_j) * unary(v_j).
+
+    Direct double loop over query and key positions; the reference
+    implementation the fast attention path is tested against.
+    """
+    q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(f"K and V disagree on length: {k.shape} vs {v.shape}")
+    n_q = q.shape[0]
+    rows = []
+    for i in range(n_q):
+        c = float(normalizer(q[i], k))
+        if c == 0.0:
+            raise DataError(f"non-local normalizer is zero for query row {i}")
+        acc = None
+        for j in range(k.shape[0]):
+            term = float(pairwise(q[i], k[j])) * np.asarray(unary(v[j]), dtype=np.float64)
+            acc = term if acc is None else acc + term
+        rows.append(acc / c)
+    return np.stack(rows)
+
+
+def token_accuracy(model, batches) -> float:
+    """Teacher-forced next-token accuracy over non-pad positions."""
+    correct, total = 0, 0
+    with no_grad():
+        for b in batches:
+            logits = model.forward_logits(b)
+            pred = np.argmax(logits.data, axis=-1)
+            keep = b.tgt_out != PAD_ID
+            correct += int((pred[keep] == b.tgt_out[keep]).sum())
+            total += int(keep.sum())
+    return correct / total if total else 0.0
 
 
 def adam_reference(p, g, m, v, lr, beta1, beta2, eps, t):

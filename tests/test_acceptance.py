@@ -17,13 +17,12 @@ from ccn.attention import (
     AttentionHeadParams,
     coattention,
     multi_head,
-    nonlocal_op,
     scaled_dot_attention,
     self_routing,
 )
 from ccn.bpe import learn_bpe
 from ccn.data import gen_synthetic, make_batches, token_swap_corrupt
-from ccn.evaluation import corpus_bleu, token_accuracy
+from ccn.evaluation import corpus_bleu
 from ccn.gradcheck import finite_diff_check
 from ccn.model import ModelConfig, build_model, count_parameters, preset
 from ccn.rng import Rng
@@ -38,7 +37,7 @@ from ccn.training import (
     train_step,
 )
 
-from oracles import bleu_oracle, fuse_heads
+from oracles import bleu_oracle, fuse_heads, nonlocal_op, token_accuracy
 
 
 def _report(n: int, label: str, detail: str = ""):

@@ -14,7 +14,6 @@ from ccn.attention import (
     coattention,
     crossed_routing,
     multi_head,
-    nonlocal_op,
     padding_mask,
     scaled_dot_attention,
     self_routing,
@@ -22,7 +21,7 @@ from ccn.attention import (
 from ccn.errors import DataError, MaskError, ShapeError
 from ccn.gradcheck import finite_diff_check
 
-from oracles import fuse_heads, tape_ops
+from oracles import fuse_heads, nonlocal_op, tape_ops
 
 
 def _head(rng, d, d_k=None, d_v=None):

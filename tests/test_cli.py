@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccn import cli, evaluation
+from ccn import cli, errors, evaluation
 from ccn.bpe import EOS_ID, apply_bpe, ids_to_text, load_bpe
 from ccn.checkpoint import save_checkpoint, save_model
 from ccn.evaluation import beam_search, greedy_decode
@@ -504,6 +504,33 @@ def test_divergence_maps_to_exit_three(capsys, monkeypatch, tmp_path):
     )
     assert code == 3
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "exc, code, shown",
+    [
+        (errors.DivergenceError("non-finite loss at step 3", step=3), 3, "non-finite loss at step 3"),
+        (errors.DataError("f.txt: line 2: bad row"), 2, "f.txt: line 2: bad row"),
+        (FileNotFoundError(2, "No such file or directory", "in.txt"), 1, "[Errno 2] No such file or directory: 'in.txt'"),
+        (ValueError("--epochs must be positive"), 1, "--epochs must be positive"),
+        (IsADirectoryError(21, "Is a directory", "out"), 2, "[Errno 21] Is a directory: 'out'"),
+        (KeyError("enc.0.w"), 2, "KeyError: 'enc.0.w'"),
+        (TypeError("unsupported operand"), 2, "TypeError: unsupported operand"),
+    ],
+    ids=["DivergenceError", "DataError", "FileNotFoundError", "ValueError", "OSError", "KeyError", "TypeError"],
+)
+def test_every_failure_exits_with_its_code_naming_the_command(capsys, monkeypatch, exc, code, shown):
+    """Each row of errors.EXIT_CODES, and an exception no row names, which
+    exits 2 with its type; none prints a traceback."""
+
+    def explode(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "param-count", explode)
+    got, _, err = run_cli(capsys, "param-count", "--preset", "tiny")
+    assert got == code
+    assert err == f"ccn param-count: {shown}\n"
+    assert "Traceback" not in err
 
 
 def test_train_cli_end_to_end(capsys, tmp_path):

@@ -1,7 +1,10 @@
-"""The benchmark's layer tracer (perfbench/spans.py) still finds every ccn
-name it wraps, and the bit-identity tool (tools/fingerprint.py) still runs
-and is deterministic, so a refactor that breaks either fails here first."""
+"""The benchmark's start-up (perfbench/run.py's machine fingerprint and
+perfbench/workloads.py) and its layer tracer (perfbench/spans.py) still
+find every ccn name they use, and the bit-identity tool
+(tools/fingerprint.py) still runs and is deterministic, so a refactor that
+breaks any of them fails here first."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -10,7 +13,17 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tools"))
 
 import fingerprint  # noqa: E402
+import run  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_perfbench_starts_up_with_the_declared_workloads():
+    """Every benchmark run records the machine fingerprint, which asks
+    ccn.kernels for its backend, before it measures anything."""
+    assert run.fingerprint(1)["nproc"] == 1
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(workloads.WORKLOADS) == sorted(w["name"] for w in spec["workloads"])
 
 
 def test_perfbench_tracer_installs_and_uninstalls():

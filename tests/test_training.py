@@ -1,6 +1,7 @@
 """Schedule, optimizer loop, run records, selection metrics, resume."""
 
 import ctypes
+import tracemalloc
 import zipfile
 from dataclasses import replace
 
@@ -251,9 +252,8 @@ def _trained_state(tmp_path):
     train_step(model, batch, state, TrainParams(warmup=10), Rng(31))
     state.epoch, state.best_dev_bleu = 1, 4.5
     save_model(tmp_path / "m.ckpt", model, step=state.step)
-    plain = TrainState(
-        step=state.step, epoch=state.epoch, best_dev_bleu=state.best_dev_bleu,
-        m={n: a.copy() for n, a in state.m.items()}, v={n: a.copy() for n, a in state.v.items()},
+    plain = replace(
+        state, m={n: a.copy() for n, a in state.m.items()}, v={n: a.copy() for n, a in state.v.items()}
     )
     return model, state, plain, batch
 
@@ -263,9 +263,7 @@ def test_a_state_file_of_plain_arrays_resumes_into_the_arenas_bit_exactly(tmp_pa
     path = tmp_path / "plain.state.npz"
     plain.save(path)
     resumed, _ = model_from_checkpoint(tmp_path / "m.ckpt")
-    loaded = TrainState.load(path)
-    loaded.check_matches(resumed, path)
-    rstate = TrainState.for_model(resumed, loaded)
+    rstate = TrainState.load(path, resumed)
     assert (rstate.step, rstate.epoch, rstate.best_dev_bleu) == (1, 1, 4.5)
     for n in state.m:
         assert np.shares_memory(rstate.m[n], rstate.m_arena), n
@@ -286,6 +284,28 @@ def test_an_arena_state_file_holds_the_per_name_arrays(tmp_path):
         assert za.namelist()[: len(state.m)] == [f"m/{n}.npy" for n in state.m]
         for name in za.namelist():
             assert za.read(name) == zp.read(name), name
+
+
+def test_loading_a_state_holds_one_stored_moment_at_a_time(tmp_path):
+    """The load reads each stored moment into its arena view and drops it,
+    so its traced peak stays near the two arenas it fills (2x the parameter
+    bytes); reading every moment first and copying after peaks above 4x."""
+    model = build_model(preset("tiny"), Rng(33))
+    state = TrainState.for_model(model)
+    state.m_arena[:] = np.random.default_rng(34).standard_normal(state.m_arena.size)
+    state.v_arena[:] = np.random.default_rng(35).random(state.v_arena.size)
+    state.step, state.epoch = 7, 2
+    path = tmp_path / "tiny.state.npz"
+    state.save(path)
+    tracemalloc.start()
+    try:
+        loaded = TrainState.load(path, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * model.param_arena.nbytes, peak / model.param_arena.nbytes
+    assert np.array_equal(loaded.m_arena, state.m_arena) and np.array_equal(loaded.v_arena, state.v_arena)
+    assert (loaded.step, loaded.epoch) == (7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +428,36 @@ def test_resume_equivalence_bitwise(tmp_path):
         assert (part_dir / "loss.log").read_text() == full_log, f"stop={stop}"
 
 
+class _OneParam:
+    """A stand-in model with one (2, 3) float32 parameter ``w``."""
+
+    param_arena = np.zeros(6, dtype=np.float32)
+
+    @staticmethod
+    def arena_views(flat):
+        return {"w": flat.reshape(2, 3)}
+
+
+def _w_state():
+    """A state of one (2, 3) parameter ``w``, its moments all ones and twos."""
+    state = TrainState.for_model(_OneParam())
+    state.step, state.epoch, state.best_dev_bleu = 3, 1, 2.5
+    state.m_arena[:], state.v_arena[:] = 1, 2
+    return state
+
+
 @pytest.mark.parametrize("mask", [0xFF, 0x01])
 def test_state_file_with_any_byte_flipped_loads_or_raises_data_error(tmp_path, mask):
     """zipfile raises NotImplementedError, OSError or RuntimeError on some
     corrupt headers; TrainState.load reports each as a DataError naming the file."""
     path = tmp_path / "epoch001.state.npz"
-    ones = np.ones((2, 3), dtype=np.float32)
-    TrainState(step=3, epoch=1, best_dev_bleu=2.5, m={"w": ones}, v={"w": 2 * ones}).save(path)
+    _w_state().save(path)
     blob = path.read_bytes()
     loaded = 0
     for i in range(len(blob)):
         path.write_bytes(blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1 :])
         try:
-            TrainState.load(path)
+            TrainState.load(path, _OneParam())
             loaded += 1
         except DataError as exc:
             assert str(path) in str(exc)
@@ -429,12 +466,12 @@ def test_state_file_with_any_byte_flipped_loads_or_raises_data_error(tmp_path, m
 
 def test_state_write_failing_midway_leaves_the_previous_file(tmp_path):
     path = tmp_path / "epoch001.state.npz"
-    ones = np.ones((2, 3), dtype=np.float32)
-    TrainState(step=3, epoch=1, best_dev_bleu=2.5, m={"w": ones}, v={"w": 2 * ones}).save(path)
+    state = _w_state()
+    state.save(path)
     blob = path.read_bytes()
     failing = FailingArray(tmp_path)
     with pytest.raises(OSError, match="No space left"):
-        TrainState(step=4, epoch=2, m={"w": ones, "x": failing}, v={"w": ones}).save(path)
+        replace(state, step=4, epoch=2, m={**state.m, "x": failing}).save(path)
     assert len(failing.seen) == 2  # the state file and a temporary file beside it
     assert path.read_bytes() == blob
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
