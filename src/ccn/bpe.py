@@ -1,10 +1,12 @@
 """Greedy byte-pair subword vocabulary, shared across source and target.
 
 Words are whitespace tokens; the final character of each word carries an
-end-of-word marker ``</w>`` so segmentations are reversible. Merges are
-learned most-frequent-pair first with lexicographic tie-breaking and applied
-at encode time in learned order, so encoding reproduces the training-time
-segmentation exactly. The four special tokens always take ids 0..3.
+end-of-word marker ``</w>`` so segmentations are reversible. The marker is
+reserved: learning from or applying to a word that contains it raises
+DataError naming the word. Merges are learned most-frequent-pair first
+with lexicographic tie-breaking and applied at encode time in learned
+order, so encoding reproduces the training-time segmentation exactly. The
+four special tokens always take ids 0..3.
 
 Learning is incremental (Sennrich et al. 2016). Each distinct word is split
 into symbols once, and a table of pair counts, weighted by word frequency,
@@ -36,6 +38,9 @@ MERGE_SENTINEL = "#merges"
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:
+    if END_OF_WORD in word:
+        # ids_to_text ends a word at every piece ending with the marker
+        raise DataError(f"word {word!r} contains {END_OF_WORD!r}, the reserved end-of-word marker")
     chars = list(word)
     chars[-1] += END_OF_WORD
     return tuple(chars)

@@ -297,8 +297,10 @@ def run_experiment(
 
     With ``resume=True`` the run continues after the last epoch that has a
     checkpoint, a state file and a loss-log row in ``out_dir``; log rows
-    beyond that epoch are dropped. An epoch writes its log row last, so a
-    crash before that append leaves the epoch to be run again.
+    beyond that epoch are dropped. A state file whose step or epoch is not
+    its checkpoint's raises DataError naming both files. An epoch writes its
+    log row last, so a crash before that append leaves the epoch to be run
+    again.
     """
     hp = hp or TrainParams()
     out_dir = Path(out_dir)
@@ -314,8 +316,14 @@ def run_experiment(
         saved = (e for e in range(1, len(records.rows) + 1) if _ckpt_path(out_dir, e).exists())
         start_epoch = max((e for e in saved if _state_path(out_dir, e).exists()), default=0)
     if start_epoch:
-        model, _ = model_from_checkpoint(_ckpt_path(out_dir, start_epoch))
-        state = TrainState.load(_state_path(out_dir, start_epoch), model)
+        ckpt_path, state_path = _ckpt_path(out_dir, start_epoch), _state_path(out_dir, start_epoch)
+        model, step = model_from_checkpoint(ckpt_path)
+        state = TrainState.load(state_path, model)
+        if (state.step, state.epoch) != (step, start_epoch):
+            raise DataError(
+                f"{state_path}: training state at step {state.step}, epoch {state.epoch} does not "
+                f"belong to checkpoint {ckpt_path} at step {step}, epoch {start_epoch}"
+            )
         records.rows = records.rows[:start_epoch]
         with atomic_write(log_path, text=True) as fh:
             fh.write(records.to_log())

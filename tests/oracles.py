@@ -7,8 +7,9 @@ reproduce; ``relu``, the tape op the fused ``ffn`` replaced, is its
 oracle. ``nonlocal_op`` is the generic non-local form (a double loop over
 query and key positions) that attention is checked against, and
 ``token_accuracy`` scores teacher-forced predictions for acceptance 7.
-Two helpers ride along: ``tape_ops`` counts the nodes of a tape,
-and ``FailingArray`` makes a file write fail midway.
+Three helpers ride along: ``graph_nodes`` lists the nodes of a tape,
+``tape_ops`` counts its op nodes, and ``FailingArray`` makes a file write
+fail midway.
 """
 
 import math
@@ -123,24 +124,30 @@ def token_swap_reference(ids, p, rng):
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
+    live = a.data > 0
 
     def backward(g):
-        return ((a, g * (a.data > 0)),)
+        return (g * live,)
 
     return _make(data, (a,), backward)
 
 
-def tape_ops(out: Tensor) -> int:
-    """Op nodes (those with parents, not leaves) reachable from ``out``."""
-    seen, stack, ops = set(), [out], 0
+def graph_nodes(out: Tensor) -> list:
+    """The nodes of ``out``'s graph, ``out``'s own first."""
+    seen, stack, nodes = set(), [out.node], []
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node is None or id(node) in seen:
             continue
         seen.add(id(node))
-        ops += bool(node._parents)
-        stack.extend(node._parents)
-    return ops
+        nodes.append(node)
+        stack.extend(node.parents)
+    return nodes
+
+
+def tape_ops(out: Tensor) -> int:
+    """Op nodes (those with parents, not leaves) reachable from ``out``."""
+    return sum(node.leaf is None for node in graph_nodes(out))
 
 
 def fuse_heads(heads, w_o, leaf=Tensor):

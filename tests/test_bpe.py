@@ -104,6 +104,17 @@ def test_target_below_base_is_data_error():
         learn_bpe(["abcdefgh"], target_vocab_size=5)
 
 
+def test_a_word_holding_the_end_of_word_marker_is_a_data_error_naming_it():
+    # ids_to_text would end the word at the marker: 'ab</w>c d' came back 'ab c d'
+    with pytest.raises(DataError, match=r"word 'ab</w>c' contains '</w>'"):
+        learn_bpe(["ab</w>c d"], target_vocab_size=12)
+    model = learn_bpe(["ab c d"], target_vocab_size=12)
+    with pytest.raises(DataError, match=r"word 'x</w>' contains '</w>'"):
+        apply_bpe(model, "ab x</w>")
+    partial = learn_bpe(["ab</w c d"], target_vocab_size=14)  # a part of the marker is plain text
+    assert ids_to_text(partial, apply_bpe(partial, "ab</w c d")) == "ab</w c d"
+
+
 def test_apply_empty_sentence():
     model = learn_bpe(["ab"], target_vocab_size=8)
     assert apply_bpe(model, "") == []

@@ -272,6 +272,22 @@ def test_translate_truncated_checkpoint_exits_two(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_translate_a_word_holding_the_end_of_word_marker_exits_two_naming_it(capsys, tmp_path):
+    data, vocab = _tiny_data(capsys, tmp_path)
+    bpe = load_bpe(vocab)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, build_model(replace(preset("tiny"), vocab_size=bpe.vocab_size), Rng(0)))
+    src = tmp_path / "in.txt"
+    src.write_text("ab</w>c d\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "translate", "--ckpt", str(ckpt), "--bpe", str(vocab), "--src", str(src), "--max-len", "8",
+    )
+    assert code == 2
+    assert out == ""
+    assert "word 'ab</w>c' contains '</w>'" in err
+    assert "Traceback" not in err
+
+
 def test_translate_checkpoint_lacking_a_parameter_exits_two(capsys, tmp_path):
     data, vocab = _tiny_data(capsys, tmp_path)
     model = build_model(replace(preset("tiny"), vocab_size=load_bpe(vocab).vocab_size), Rng(0))

@@ -1,14 +1,16 @@
 """Model contracts: shapes, symmetries, causality, determinism, checkpoints,
 parameter counting, positional encodings."""
 
+import gc
 import re
 import struct
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ccn import attention, kernels
+from ccn import attention, kernels, tensor
 from ccn import model as model_module
 from ccn.attention import (
     LEFT,
@@ -36,7 +38,7 @@ from ccn.model import (
 )
 from ccn.rng import Rng
 from ccn.tensor import Tensor, add, concat, fold_branches, layer_norm, linear, mean_all, no_grad
-from oracles import FailingArray, fuse_heads, relu, tape_ops
+from oracles import FailingArray, fuse_heads, graph_nodes, relu, tape_ops
 
 
 def tiny_cfg(arch="thm", **over):
@@ -565,14 +567,10 @@ def test_the_only_concat_in_a_training_step_is_the_decoder_merge(arch, merges):
     bpe = learn_bpe(corpus.lines(), 16)
     model = build_model(tiny_cfg(arch, dropout_p=0.1, vocab_size=bpe.vocab_size), Rng(28))
     batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
-    seen, stack, concats = set(), [model.loss_on_batch(batch, rng=Rng(13))], 0
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            backward = node._backward
-            concats += backward is not None and backward.__qualname__.startswith("concat.")
-            stack.extend(node._parents)
+    concats = 0
+    for node in graph_nodes(model.loss_on_batch(batch, rng=Rng(13))):
+        backward = node.backward
+        concats += backward is not None and backward.__qualname__.startswith("concat.")
     assert concats == merges
 
 
@@ -580,16 +578,16 @@ def _recording(backward, dtypes: list):
     """``backward`` that also notes the dtype of every gradient it hands on."""
 
     def wrapped(g):
-        pairs = tuple(backward(g))
-        dtypes.extend(pg.dtype for _, pg in pairs if pg is not None)
-        return pairs
+        pgs = tuple(backward(g))
+        dtypes.extend(pg.dtype for pg in pgs if pg is not None)
+        return pgs
 
     return wrapped
 
 
 @pytest.mark.parametrize("arch", ["thm", "transformer"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-def test_training_step_computes_in_the_model_dtype(arch, dtype):
+def test_training_step_computes_in_the_model_dtype(arch, dtype, monkeypatch):
     # only the scalar loss is float64; every other node and every gradient
     # keeps the model dtype, forward and backward
     corpus = gen_synthetic("copy", 12, 4, (3, 5), Rng(0))
@@ -597,20 +595,22 @@ def test_training_step_computes_in_the_model_dtype(arch, dtype):
     cfg = tiny_cfg(arch, dropout_p=0.1, swap_prob=0.5, vocab_size=bpe.vocab_size)
     model = build_model(cfg, Rng(29), dtype=dtype)
     batch = make_batches(corpus, bpe, 64, Rng(5), swap_prob=0.5)[0]
+    # nodes hold no data: note each op's output and operands as the op makes them
+    outputs, operands, make = [], [], tensor._make
+
+    def noting(data, parents, backward):
+        outputs.append(np.asarray(data).dtype)
+        operands.extend(p.data.dtype for p in parents)
+        return make(data, parents, backward)
+
+    monkeypatch.setattr(tensor, "_make", noting)
     loss = model.loss_on_batch(batch, rng=Rng(13))
     assert loss.data.dtype == np.float64
-    seen, stack, nodes = set(), [loss], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    assert {n.data.dtype for n in nodes[1:]} == {np.dtype(dtype)}
+    assert set(outputs[:-1]) | set(operands) == {np.dtype(dtype)}  # the loss is made last
     handed = []
-    for node in nodes:
-        if node._backward is not None:
-            node._backward = _recording(node._backward, handed)
+    for node in graph_nodes(loss):
+        if node.backward is not None:
+            node.backward = _recording(node.backward, handed)
     loss.backward()
     assert handed and set(handed) == {np.dtype(dtype)}
 
@@ -639,6 +639,72 @@ def test_tape_ops_per_tiny_training_step(name, expected):
     ops = tape_ops(loss)
     assert ops <= 180
     assert ops == expected
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory: freeing it frees the memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("name, expected", [("tiny", 67), ("transformer-tiny", 57)])
+def test_the_tape_keeps_only_what_backward_reads_and_releases_it(name, expected, monkeypatch):
+    rng = Rng(1)
+    train = gen_synthetic("copy", 20, 50, (3, 12), rng.fork("train"))
+    bpe = learn_bpe(train.lines(), 28)
+    cfg = replace(preset(name), vocab_size=bpe.vocab_size)
+    batch = make_batches(train, bpe, 512, Rng(4), swap_prob=cfg.swap_prob)[0]
+    model = build_model(cfg, Rng(3))
+    dead, masks = [], []  # weakrefs to outputs no backward reads, and the masks drawn
+
+    def noted(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            dead.append(weakref.ref(_owner(out.data)))
+            return out
+
+        return wrapped
+
+    def noted_mask(*args):
+        mask = mask_of(*args)
+        masks.append(mask)
+        return mask
+
+    mask_of, seq2seq = tensor._dropout_mask, model_module.Seq2SeqModel
+    monkeypatch.setattr(seq2seq, "project_vocab", noted(seq2seq.project_vocab))
+    monkeypatch.setattr(attention, "linear", noted(attention.linear))  # each attention sublayer's output
+    monkeypatch.setattr(tensor, "_dropout_mask", noted_mask)
+    loss = model.loss_on_batch(batch, rng=Rng(5))
+    assert len(dead) == 1 + 3 * cfg.n_blocks  # the logits; per block, encoder, self and cross attention
+    assert [ref() is None for ref in dead] == [True] * len(dead)
+    assert masks and all(keep.dtype == bool and scale.dtype == model.dtype for keep, scale in masks)
+    saved = weakref.ref(_owner(masks[0][0]))
+    del masks
+    assert saved() is not None  # the embedding dropout's backward holds it
+    nodes = graph_nodes(loss)
+    assert sum(node.leaf is None for node in nodes) == expected
+    loss.backward()
+    assert saved() is None
+    assert all(node.parents == () and node.backward is None for node in nodes if node.leaf is None)
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+
+
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+def test_a_dropped_model_frees_its_arenas_without_the_cycle_collector(arch):
+    # a parameter's leaf node refers to it weakly: no parameter is in a reference cycle
+    model = build_model(tiny_cfg(arch), Rng(31))
+    src = np.array([[5, 6, 7, 2]])
+    logits = model.decode(model.encode(*[src] * len(model.branches)), np.array([[1, 5, 6]]))
+    mean_all(logits).backward()
+    arenas = [weakref.ref(model.param_arena), weakref.ref(model.grad_arena)]
+    gc.disable()
+    try:
+        del model, logits
+        assert [ref() is None for ref in arenas] == [True, True]
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Schedule, optimizer loop, run records, selection metrics, resume."""
 
 import ctypes
+import shutil
 import tracemalloc
 import zipfile
 from dataclasses import replace
@@ -510,6 +511,21 @@ def test_loss_log_rewrite_failing_midway_leaves_the_old_log(tmp_path, monkeypatc
     assert seen == ["loss.log.tmp"]
     assert (tmp_path / "loss.log").read_bytes() == blob
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_resume_with_another_epochs_state_file_raises_naming_both_files(tmp_path):
+    data = _bundle(seed=23)
+    cfg = replace(SMALL, vocab_size=data.bpe.vocab_size)
+    hp = TrainParams(warmup=50, batch_tokens=128)
+    run_experiment(cfg, data, epochs=2, out_dir=tmp_path, seed=9, hp=hp)
+    state = tmp_path / "epoch002.state.npz"
+    shutil.copyfile(tmp_path / "epoch001.state.npz", state)
+    blob = (tmp_path / "loss.log").read_bytes()
+    with pytest.raises(DataError, match="does not belong to checkpoint") as err:
+        run_experiment(cfg, data, epochs=3, out_dir=tmp_path, seed=9, hp=hp, resume=True)
+    assert str(err.value).startswith(f"{state}: training state at step ")
+    assert f"{tmp_path / 'epoch002.ckpt'} at step " in str(err.value)
+    assert (tmp_path / "loss.log").read_bytes() == blob
 
 
 def _acceptance_11_setup():
