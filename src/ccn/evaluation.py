@@ -4,8 +4,13 @@ One decoder, ``beam_decode_batch``, serves greedy search (beam 1) and beam
 search. It steps every live hypothesis of every source as one padded batch
 through the model's incremental decode protocol: ``start_decode``
 (sources), ``step_logprobs`` (one token per row) and ``reorder`` (keep
-rows). ``translate_corpus`` decodes ``DECODE_CHUNK // beam`` sentences per
-batch.
+rows). ``translate_corpus`` puts as many sentences in a batch as fit in
+``DECODE_BYTES``, as ``sentence_bytes`` counts them: each hypothesis row
+holds its step's logits and float64 log-probabilities and its cached self-
+and cross-attention keys and values, and each sentence adds the encoder's
+feed-forward activation. The budget gives ``thm-base`` at its default
+vocabulary 64 greedy rows per batch (50-token sources, 108-token cap), and
+decodes a 100-sentence ``tiny`` dev set as one batch at beam 1 or 4.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import numpy as np
 
 from .bpe import BOS_ID, EOS_ID, BpeModel, apply_bpe, ids_to_text
 from .errors import DataError
+from .model import ARCH_THM, ModelConfig
 from .tensor import no_grad
 
-# hypothesis rows per padded batch in translate_corpus: bounds the
-# (rows x vocab) logits of one step at real vocabulary sizes
-DECODE_CHUNK = 64
+# bytes of one translate_corpus batch, as sentence_bytes counts them
+DECODE_BYTES = 390 << 20
 
 
 def beam_decode_batch(
@@ -95,12 +100,35 @@ def beam_search(
     return beam_decode_batch(model, [src_ids], beam, max_len, length_penalty_alpha)[0]
 
 
+def sentence_bytes(config: ModelConfig, dtype, beam: int, src_len: int, max_len: int) -> int:
+    """Bytes a sentence of at most ``src_len`` tokens holds in a decode batch
+    when it takes ``beam`` rows decoding up to ``max_len`` tokens.
+
+    A row holds its step's logits and float64 log-probabilities and every
+    block's cached self- and cross-attention keys and values; a sentence
+    adds its encoder feed-forward activation.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    branches = 2 if config.arch == ARCH_THM else 1
+    row = config.vocab_size * (itemsize + 8) + (
+        2 * config.n_blocks * config.d_model * itemsize * (max_len + branches * src_len)
+    )
+    return beam * row + branches * src_len * config.d_ff * itemsize
+
+
+def sentences_per_batch(config: ModelConfig, dtype, beam: int, src_len: int, max_len: int) -> int:
+    """Sentences that fit in DECODE_BYTES, at least one."""
+    return max(1, DECODE_BYTES // sentence_bytes(config, dtype, beam, src_len, max_len))
+
+
 def translate_corpus(model, bpe: BpeModel, sentences: list[str], max_len: int, beam: int = 1,
                      length_penalty_alpha: float = 0.0) -> list[str]:
     """BPE-encode, decode, and join subwords back into plain text, in input
-    order. Each batch holds DECODE_CHUNK // beam sentences (at least one)."""
+    order, ``sentences_per_batch`` sentences per batch."""
     sources = [apply_bpe(bpe, sentence) + [EOS_ID] for sentence in sentences]
-    chunk = max(1, DECODE_CHUNK // max(beam, 1))  # beam_decode_batch rejects beam < 1
+    src_len = max(map(len, sources), default=0)
+    # max(beam, 1): size batches for any beam and leave rejecting beam < 1 to beam_decode_batch
+    chunk = sentences_per_batch(model.config, model.dtype, max(beam, 1), src_len, max_len)
     hyps = [
         hyp
         for lo in range(0, len(sources), chunk)

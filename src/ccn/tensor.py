@@ -375,10 +375,12 @@ def fold_branches(x: Tensor) -> Tensor:
     features side by side, branch i in the i-th block of d columns, the
     array ``concat`` of the branches along features would give."""
     n, inner, d = x.data.shape[0], x.data.shape[1:-1], x.data.shape[-1]
-    data = np.moveaxis(x.data, 0, -2).reshape(inner + (n * d,))
+    k = x.data.ndim
+    # np.moveaxis(x, 0, -2) as one transpose: moveaxis normalizes its axes in Python
+    data = x.data.transpose((*range(1, k - 1), 0, k - 1)).reshape(inner + (n * d,))
 
     def backward(g):
-        return (np.moveaxis(g.reshape(inner + (n, d)), -2, 0),)
+        return (g.reshape(inner + (n, d)).transpose((k - 2, *range(k - 2), k - 1)),)
 
     return _make(data, (x,), backward)
 

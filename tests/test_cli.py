@@ -227,8 +227,6 @@ def test_translate_runs_on_saved_checkpoint(capsys, tmp_path):
 
 @pytest.mark.parametrize("beam", [1, 2])
 def test_translate_writes_lines_in_input_order(capsys, tmp_path, monkeypatch, beam):
-    # two sentences per greedy batch, so the five lines span three batches
-    monkeypatch.setattr(evaluation, "DECODE_CHUNK", 2)
     data = tmp_path / "d"
     run_cli(capsys, "make-synth", "--seed", "4", "--out", str(data), "--vocab-size", "10",
             "--n-train", "20", "--n-dev", "5", "--n-test", "3")
@@ -238,6 +236,11 @@ def test_translate_writes_lines_in_input_order(capsys, tmp_path, monkeypatch, be
     model = build_model(replace(preset("tiny"), vocab_size=bpe.vocab_size), Rng(1))
     ckpt = tmp_path / "m.ckpt"
     save_model(ckpt, model)
+    # a budget of two greedy sentences, so the five lines span three batches
+    lines = (data / "dev.src").read_text(encoding="utf-8").splitlines()
+    src_len = max(len(apply_bpe(bpe, line)) + 1 for line in lines)
+    budget = 2 * evaluation.sentence_bytes(model.config, np.float32, 1, src_len, 8)
+    monkeypatch.setattr(evaluation, "DECODE_BYTES", budget)
     code, out, _ = run_cli(
         capsys, "translate", "--ckpt", str(ckpt), "--bpe", str(tmp_path / "bpe.vocab"),
         "--src", str(data / "dev.src"), "--max-len", "8", "--beam", str(beam),

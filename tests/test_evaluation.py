@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 from ccn.bpe import BOS_ID, EOS_ID, learn_bpe
 from ccn.data import gen_synthetic
+from ccn import evaluation
 from ccn.errors import DataError
 from ccn.evaluation import (
     beam_decode_batch,
@@ -15,6 +16,8 @@ from ccn.evaluation import (
     corpus_bleu,
     greedy_decode,
     modified_precision,
+    sentence_bytes,
+    sentences_per_batch,
     translate_corpus,
 )
 from ccn.model import ModelConfig, build_model, preset
@@ -294,6 +297,65 @@ def test_translate_empty_corpus_is_empty():
     assert translate_corpus(model, bpe, [], max_len=5, beam=2) == []
     with pytest.raises(ValueError, match="beam width"):
         translate_corpus(model, bpe, ["a b"], max_len=5, beam=0)
+
+
+# ---------------------------------------------------------------------------
+# the decode batch budget
+# ---------------------------------------------------------------------------
+
+
+def test_thm_base_keeps_about_64_greedy_rows_per_batch():
+    # its default vocabulary, a 50-token source and a 108-token cap
+    assert 56 <= sentences_per_batch(preset("thm-base"), np.float32, 1, 50, 108) <= 72
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+@pytest.mark.parametrize("name", ["tiny", "transformer-tiny"])
+def test_a_tiny_dev_set_fits_in_one_batch(name, beam):
+    cfg = preset(name)
+    assert sentences_per_batch(cfg, np.float32, beam, 14, cfg.max_len - 1) >= 100
+
+
+def test_a_sentence_over_the_budget_is_a_batch_of_one(monkeypatch):
+    # test_batching_never_changes_a_hypothesis decodes such batches
+    cfg = preset("thm-base")
+    monkeypatch.setattr(evaluation, "DECODE_BYTES", sentence_bytes(cfg, np.float32, 4, 50, 108) - 1)
+    assert sentences_per_batch(cfg, np.float32, 4, 50, 108) == 1
+
+
+def _tiny_setup(arch, n_sentences):
+    """A tiny model of ``arch`` and an acceptance-7 style copy corpus."""
+    corpus = gen_synthetic("copy", 20, n_sentences, (3, 12), Rng(21))
+    bpe = learn_bpe(corpus.lines(), 28)
+    name = "tiny" if arch == "thm" else "transformer-tiny"
+    return build_model(replace(preset(name), vocab_size=bpe.vocab_size), Rng(22)), bpe, corpus
+
+
+def _count_start_decode(monkeypatch, model) -> list[int]:
+    """Batch sizes of every start_decode call on ``model``."""
+    calls, start = [], model.start_decode
+    monkeypatch.setattr(model, "start_decode", lambda sources: calls.append(len(sources)) or start(sources))
+    return calls
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+def test_a_100_sentence_tiny_corpus_is_one_decode_batch(monkeypatch, beam):
+    model, bpe, corpus = _tiny_setup("thm", 100)
+    calls = _count_start_decode(monkeypatch, model)
+    assert len(translate_corpus(model, bpe, corpus.sources(), max_len=32, beam=beam)) == 100
+    assert calls == [100]
+
+
+@pytest.mark.parametrize("beam", [1, 3])
+@pytest.mark.parametrize("arch", ["thm", "transformer"])
+def test_batching_never_changes_a_hypothesis(monkeypatch, arch, beam):
+    model, bpe, corpus = _tiny_setup(arch, 12)
+    together = translate_corpus(model, bpe, corpus.sources(), max_len=16, beam=beam)
+    monkeypatch.setattr(evaluation, "DECODE_BYTES", 1)
+    calls = _count_start_decode(monkeypatch, model)
+    assert translate_corpus(model, bpe, corpus.sources(), max_len=16, beam=beam) == together
+    assert calls == [1] * 12
+    assert len(set(together)) > 1, together
 
 
 # ---------------------------------------------------------------------------

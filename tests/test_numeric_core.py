@@ -107,6 +107,18 @@ def test_project_heads_split_and_axis_transpose_route_gradients_back():
     assert np.array_equal(x.grad, weights.swapaxes(1, 2).reshape(2, 3, 4))
 
 
+def test_fold_branches_equals_the_moveaxis_form():
+    x = np.random.default_rng(9).standard_normal((2, 3, 4, 5)).astype(np.float32)
+    y = T.fold_branches(T.parameter("x", x))
+    want = np.moveaxis(x, 0, -2).reshape(3, 4, 10)
+    assert y.data.dtype == want.dtype and y.data.shape == want.shape
+    assert y.data.tobytes() == want.tobytes()
+    g = np.arange(120, dtype=np.float32).reshape(3, 4, 10)
+    (got,) = y.node.backward(g)
+    want = np.moveaxis(g.reshape(3, 4, 2, 5), -2, 0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_softmax_symmetric_row():
     out = T.softmax_rows(T.Tensor(np.array([[0.0, 0.0]]))).data
     assert np.allclose(out, [[0.5, 0.5]], atol=1e-12)

@@ -5,21 +5,27 @@ refactor is bit-identical to the commit before it.
     PYTHONPATH=NEW/src python tools/fingerprint.py NEW_OUT --load OLD_OUT > new.txt
     diff old.txt new.txt
 
+Its first line names the BLAS thread variables and the CPU count: GEMMs at
+2048-token batches round differently at 1 and 2 OpenBLAS threads, so
+compare only outputs printed under the same setting.
+
 For THM and the transformer at 0, 1 and 2 blocks, in float32 and float64,
 with dropout 0.1, token swap 0.5 and label smoothing 0.1, it prints the
 digest of: the initial parameters; the fresh model's decodes (as below)
 and eval-mode losses on the 4 batches, so that a forward pass is compared
 apart from training; the losses of 4 train steps; the
 parameters, gradients and Adam moments after them; greedy and beam-3
-decodes; cached-step and full-recompute log-probabilities; and the bytes of
-the checkpoint it writes to OUT/ckpt. With --load DIR it also decodes with
-every checkpoint DIR/ckpt holds. It prints the digest of dropout masks drawn
-by ``Rng.uniform_at_least`` at sizes around, at and over the 2**15 draws
-it mixes per block, and of the draws that follow them, which pin the
-counter. It prints the digest of the merges and tokens ``learn_bpe`` learns
-from the benchmark's 700-type reverse corpus (about 650 merges) and from a
-corpus of overlapping repeats such as ``aaaa`` and ``abab``, and of the
-reverse corpus itself. Last, it runs 3 epochs of run_experiment
+decodes; cached-step and full-recompute log-probabilities; the
+``translate_corpus`` output of 12 sentences, greedy and beam 3, at the
+default decode budget and at one sentence per batch, which must be equal;
+and the bytes of the checkpoint it writes to OUT/ckpt. With --load DIR it
+also decodes with every checkpoint DIR/ckpt holds. It prints the digest of
+dropout masks drawn by ``Rng.uniform_at_least`` at sizes around, at and
+over the 2**15 draws it mixes per block, and of the draws that follow
+them, which pin the counter. It prints the digest of the merges and
+tokens ``learn_bpe`` learns from the benchmark's 700-type reverse corpus
+(about 650 merges) and from a corpus of overlapping repeats such as
+``aaaa`` and ``abab``, and of the reverse corpus itself. Last, it runs 3 epochs of run_experiment
 on acceptance 7's copy-task data and prints the digest of the loss.log,
 then runs 2 epochs into another directory, resumes that run to 3, and
 prints the digest of its loss.log, which matches the first when resume is
@@ -30,21 +36,24 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from ccn import evaluation
 from ccn.bpe import learn_bpe
 from ccn.checkpoint import model_from_checkpoint, save_model
 from ccn.data import gen_synthetic, make_batches
-from ccn.evaluation import beam_decode_batch
+from ccn.evaluation import beam_decode_batch, translate_corpus
 from ccn.model import ModelConfig, build_model, preset
 from ccn.rng import Rng
 from ccn.tensor import no_grad
 from ccn.training import DataBundle, TrainParams, TrainState, run_experiment, train_step
 
 SOURCES = [[5, 6, 7, 8, 2], [9, 2], [10, 11, 12, 2]]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def digest(*arrays) -> str:
@@ -70,6 +79,20 @@ def decode_digests(model) -> dict[str, str]:
         "greedy": repr(beam_decode_batch(model, SOURCES, 1, 8)),
         "beam3": repr(beam_decode_batch(model, SOURCES, 3, 8)),
     }
+
+
+def corpus_digests(model, bpe, sentences) -> dict[str, str]:
+    """translate_corpus at the default decode budget, then at one sentence per batch."""
+    out, budget = {}, evaluation.DECODE_BYTES
+    for key, beam in (("greedy", 1), ("beam3", 3)):
+        default = text_digest(translate_corpus(model, bpe, sentences, 12, beam))
+        evaluation.DECODE_BYTES = 1
+        try:
+            single = text_digest(translate_corpus(model, bpe, sentences, 12, beam))
+        finally:
+            evaluation.DECODE_BYTES = budget
+        out[key] = f"{default} one per batch {single}"
+    return out
 
 
 def model_digests(out: Path, others: Path | None):
@@ -102,6 +125,8 @@ def model_digests(out: Path, others: Path | None):
                 print(name, "moments", digest(*state.m.values(), *state.v.values()))
                 for key, value in decode_digests(model).items():
                     print(name, key, value)
+                for key, value in corpus_digests(model, bpe, corpus.sources()[:12]).items():
+                    print(name, "translate", key, value)
                 ckpt = out / "ckpt" / f"{name}.ckpt"
                 save_model(ckpt, model, step=state.step)
                 print(name, "checkpoint", digest(np.frombuffer(ckpt.read_bytes(), dtype=np.uint8)))
@@ -164,6 +189,7 @@ def main():
     ap.add_argument("out", type=Path, help="directory for the checkpoints and the run")
     ap.add_argument("--load", type=Path, help="a directory an earlier run wrote; decode its checkpoints")
     args = ap.parse_args()
+    print("threads", {var: os.environ.get(var) for var in THREAD_VARS}, "cpu_count", os.cpu_count())
     (args.out / "ckpt").mkdir(parents=True, exist_ok=True)
     model_digests(args.out, args.load)
     mask_digests()
